@@ -37,7 +37,7 @@ from .reachability import (
 )
 from .states import available_moves, parse_state, sumtroid
 from .trees import RTable, r_table_bruteforce, r_table_recursive
-from .verify import RunConfig, config_with_max_n, reports_to_json, reports_to_text, run_suites, SUITES
+from .verify import config_with_max_n, reports_to_json, reports_to_text, run_suites, SUITES
 
 USAGE_EXIT = 2
 BUDGET_EXIT = 3
@@ -238,9 +238,7 @@ def cmd_perms(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = config_with_max_n(
-        args.max_n, node_budget=args.node_budget, seed=args.seed, cache_dir=args.cache_dir
-    )
+    cfg = config_with_max_n(args.max_n, node_budget=args.node_budget)
     reports = run_suites(cfg, args.suite or None)
     text = reports_to_json(reports) if args.format == "json" else reports_to_text(reports)
     _write(args, text)
@@ -334,8 +332,6 @@ def _parser() -> argparse.ArgumentParser:
         help="run only this suite (repeatable); default is all",
     )
     p.add_argument("--max-n", type=int, default=None, help="override every suite budget")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-dir", default=None)
     add_budget(p)
     add_format(p, ("text", "json"))
     p.set_defaults(func=cmd_verify)

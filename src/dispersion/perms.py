@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
-from .trees import Cell, RecursiveTree, r_table_bruteforce, tree_stats
+from .trees import Cell, RecursiveTree, RTable, r_table_bruteforce, tree_stats
 
 
 class PermStats(NamedTuple):
@@ -140,10 +140,13 @@ def _involution_image(n: int, cell: Cell) -> Cell:
     return (n - leaves, n + 2 - x)
 
 
-def perm_count_checks(n: int) -> PermCheckReport:
+def perm_count_checks(
+    n: int, *, table: Callable[[int], RTable] | None = None
+) -> PermCheckReport:
+    """``table`` builds brute-force tables by size (default: enumerate)."""
     if n < 3:
         raise DomainError("the tally checks need n >= 3")
-    table = r_table_bruteforce(n)
+    tree_table = (table or r_table_bruteforce)(n)
     bad = []
 
     special: dict[Cell, int] = {}
@@ -176,7 +179,7 @@ def perm_count_checks(n: int) -> PermCheckReport:
 
     for leaves in range(1, n + 1):
         for x in range(1, n):
-            r = table.value(leaves, x)
+            r = tree_table.value(leaves, x)
             if special.get((leaves, x), 0) != r:
                 bad.append(f"special-descent tally differs at {(leaves, x)}")
             if x >= 2 and descent.get((leaves, x - 1), 0) != r:

@@ -29,6 +29,7 @@ from .states import (
     is_final,
     shadow,
     sumtroid,
+    validate_move,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -272,11 +273,7 @@ def gap_delta_class(s: RoomState, m: Move) -> int:
     """
     if not s.single_occupancy:
         raise DomainError("gap classes are defined on single-occupancy states")
-    j = m.left_room - s.offset
-    if not (0 <= j < len(s.occupancy) - 1) or not (
-        s.occupancy[j] and s.occupancy[j + 1]
-    ):
-        raise DomainError(f"move {m} not available in {s.text()}")
+    validate_move(s, m, DomainError)
     narrow_sides = _side_is_narrow(s, m.left_room - 1, -1) + _side_is_narrow(
         s, m.left_room + 2, +1
     )

@@ -28,8 +28,9 @@ from .errors import (
     MalformedStateError,
 )
 
-_PATTERN_RE = re.compile(r"(?P<body>(?:\d|\[\d+\])+)(?:@(?P<offset>-?\d+))?\Z")
-_TOKEN_RE = re.compile(r"\[(\d+)\]|(\d)")
+# [0-9], not \d: patterns are ASCII, and \d also matches other scripts' digits
+_PATTERN_RE = re.compile(r"(?P<body>(?:[0-9]|\[[0-9]+\])+)(?:@(?P<offset>-?[0-9]+))?\Z")
+_TOKEN_RE = re.compile(r"\[([0-9]+)\]|([0-9])")
 
 
 def parse_pattern(text: str) -> tuple[list[int], int]:
@@ -241,15 +242,20 @@ def has_crowded_isolated_room(s: RoomState) -> bool:
     return False
 
 
-def apply_move(s: RoomState, m: Move) -> RoomState:
-    """Apply a move, validating it against the state first."""
+def validate_move(s: RoomState, m: Move, error: type[Exception] = InvalidMoveError) -> None:
+    """Raise ``error`` unless m is the move s offers at m's pair."""
     j = m.left_room - s.offset
     if not (0 <= j < len(s.occupancy) - 1) or not (
         s.occupancy[j] and s.occupancy[j + 1]
     ):
-        raise InvalidMoveError(f"no adjacent pair at room {m.left_room} in {s.text()}")
+        raise error(f"no adjacent pair at room {m.left_room} in {s.text()}")
     if _move_at(s, j) != m:
-        raise InvalidMoveError(f"move {m} does not match state {s.text()}")
+        raise error(f"move {m} does not match state {s.text()}")
+
+
+def apply_move(s: RoomState, m: Move) -> RoomState:
+    """Apply a move, validating it against the state first."""
+    validate_move(s, m)
     lo = min(s.offset, m.left_target)
     hi = max(s.rightmost, m.right_target)
     counts = [0] * (hi - lo + 1)
@@ -302,14 +308,7 @@ def apply_move_labeled(
         raise InvariantViolationError(
             f"labeled positions {ls.positions} do not match state {state.text()}"
         )
-    s = ls.to_state()
-    j = m.left_room - s.offset
-    if not (0 <= j < len(s.occupancy) - 1) or not (
-        s.occupancy[j] and s.occupancy[j + 1]
-    ):
-        raise InvalidMoveError(f"no adjacent pair at room {m.left_room}")
-    if _move_at(s, j) != m:
-        raise InvalidMoveError(f"move {m} does not match state {s.text()}")
+    validate_move(ls.to_state(), m)
     pos = list(ls.positions)
     # Push left: one occupant of each room i, i-1, ..., i-l+1 steps left.
     # Taking the first occupant of each room keeps the list sorted.
@@ -358,7 +357,7 @@ def span(s: RoomState) -> int:
     return len(s.occupancy)
 
 
-def gaps(s: RoomState) -> tuple[int, ...]:
+def gaps(s: RoomState | Shadow) -> tuple[int, ...]:
     """Sizes of the maximal empty runs strictly inside the window."""
     out = []
     run = 0
@@ -424,15 +423,7 @@ def classify_final_shadow(sh: Shadow) -> FinalShadowId | None:
     n = sum(occ)
     if n < 2 or len(occ) != 2 * n:
         return None
-    gap_sizes = []
-    run = 0
-    for c in occ:
-        if c == 0:
-            run += 1
-        else:
-            if run:
-                gap_sizes.append(run)
-            run = 0
+    gap_sizes = gaps(sh)
     if len(gap_sizes) != n - 1 or sorted(gap_sizes) != [1] * (n - 2) + [2]:
         return None
     return FinalShadowId(n, gap_sizes.index(2) + 1)

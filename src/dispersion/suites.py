@@ -10,6 +10,7 @@ centroid by the same amount.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,13 +20,8 @@ from .errors import (
     InvalidMoveError,
     MalformedStateError,
 )
-from .states import (
-    Move,
-    RoomState,
-    apply_move,
-    available_moves,
-    parse_pattern,
-)
+from .reachability import explore
+from .states import Move, RoomState, parse_state
 
 
 @dataclass(frozen=True)
@@ -61,16 +57,9 @@ class SuiteState:
 
 
 def parse_suite_state(text: str) -> SuiteState:
-    counts, offset = parse_pattern(text)
-    lo = 0
-    while lo < len(counts) and counts[lo] == 0:
-        lo += 1
-    if lo == len(counts):
-        raise MalformedStateError(f"no occupied suites in {text!r}")
-    hi = len(counts)
-    while counts[hi - 1] == 0:
-        hi -= 1
-    return SuiteState(offset + lo, tuple(counts[lo:hi]))
+    """Parse a suite pattern; the room-pattern syntax and trimming apply."""
+    s = parse_state(text)
+    return SuiteState(s.offset, s.occupancy)
 
 
 def to_suites(s: RoomState) -> SuiteState:
@@ -213,29 +202,15 @@ def verify_move_correspondence(
     """
     mismatches: list[str] = []
     n = initial.total
-
-    room_nodes: list[RoomState] = []
-    seen = {initial}
-    queue = [initial]
-    room_edges = 0
-    while queue:
-        s = queue.pop(0)
-        room_nodes.append(s)
-        for m in available_moves(s):
-            room_edges += 1
-            t = apply_move(s, m)
-            if t not in seen:
-                if len(seen) >= node_budget:
-                    raise BudgetExceededError(node_budget)
-                seen.add(t)
-                queue.append(t)
+    g = explore(initial, node_budget)
+    room_edges = sum(len(e) for e in g.edges.values())
 
     start = to_suites(initial)
     suite_seen = {start}
-    squeue = [start]
+    squeue = deque([start])
     suite_edges = 0
     while squeue:
-        ss = squeue.pop(0)
+        ss = squeue.popleft()
         for sm in suite_moves(ss):
             suite_edges += 1
             tt = apply_suite_move(ss, sm)
@@ -245,8 +220,8 @@ def verify_move_correspondence(
                 suite_seen.add(tt)
                 squeue.append(tt)
 
-    encoded = {to_suites(s) for s in room_nodes}
-    if len(encoded) != len(room_nodes):
+    encoded = {to_suites(s) for s in g.nodes}
+    if len(encoded) != len(g.nodes):
         mismatches.append("suite encoding is not injective on reachable states")
     if encoded != suite_seen:
         mismatches.append(
@@ -256,10 +231,9 @@ def verify_move_correspondence(
     if room_edges != suite_edges:
         mismatches.append(f"edge counts differ: {room_edges} rooms vs {suite_edges} suites")
 
-    for s in room_nodes:
+    for s in g.nodes:
         ss = to_suites(s)
-        for m in available_moves(s):
-            t = apply_move(s, m)
+        for m, t in g.edges[s]:
             sm = suite_move_for(s, m)
             try:
                 tt = apply_suite_move(ss, sm)
@@ -278,7 +252,7 @@ def verify_move_correspondence(
                     f"{s.text()}: centroid delta {room_delta} vs suite {suite_delta}"
                 )
     return CorrespondenceReport(
-        room_nodes=len(room_nodes),
+        room_nodes=len(g.nodes),
         suite_nodes=len(suite_seen),
         room_edges=room_edges,
         suite_edges=suite_edges,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb, factorial
-from typing import Iterator, NamedTuple
+from math import factorial
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
 
@@ -167,11 +167,15 @@ class AbReport:
         return not self.mismatches
 
 
-def ab_identities_check(n: int) -> AbReport:
+def ab_identities_check(
+    n: int, *, table: Callable[[int], RTable] | None = None
+) -> AbReport:
+    """``table`` builds brute-force tables by size (default: enumerate)."""
     if n < 3:
         raise DomainError("the split identities need n >= 3")
-    cur = r_table_bruteforce(n)
-    prev = r_table_bruteforce(n - 1)
+    table = table or r_table_bruteforce
+    cur = table(n)
+    prev = table(n - 1)
     bad = []
     cells = set(cur.r) | set(cur.a) | set(cur.b)
     for cell in sorted(cells):
@@ -199,19 +203,6 @@ def t_values(n: int) -> dict[int, int]:
     for (leaves, _), count in r_table_bruteforce(n).r.items():
         out[leaves] = out.get(leaves, 0) + count
     return dict(sorted(out.items()))
-
-
-def t_alternating(n: int, leaves: int) -> int:
-    """Literal alternating-sum expression for the leaf-count totals.
-
-    Diagnostic only: under a literal reading its indexing does not
-    reproduce the brute-force values (already wrong for n=3, l=2), so
-    nothing downstream uses it.  Kept to document the convention gap.
-    """
-    return sum(
-        (-1) ** j * (leaves - 1 - j) * comb(n, j) * (leaves - j) ** n
-        for j in range(leaves - 1)
-    )
 
 
 def eulerian_triangle(n: int) -> list[list[int]]:
@@ -253,10 +244,13 @@ class EulerianReport:
         return not self.mismatches
 
 
-def eulerian_check(n: int) -> EulerianReport:
+def eulerian_check(
+    n: int, *, table: Callable[[int], RTable] | None = None
+) -> EulerianReport:
+    """``table`` builds brute-force tables by size (default: enumerate)."""
     if n < 3:
         raise DomainError("the column checks need n >= 3")
-    tables = {m: r_table_bruteforce(m) for m in range(2, n + 1)}
+    tables = {m: (table or r_table_bruteforce)(m) for m in range(2, n + 1)}
     triangle = eulerian_triangle(n - 2)
     bad = []
     for m in range(3, n + 1):

@@ -1,23 +1,26 @@
 """Verification suites: every structural claim of the package, checked.
 
-Each suite bundles related checks (exact rows, bijections, coverage
-theorems, counting identities) and reports pass/fail per check with a
-plain-language statement of the claim.  Default budgets are chosen so
-that a full run finishes in well under a minute; raising them tightens
-the same checks on larger instances.
+Each claim is one check function, registered once with its suite, its
+check id and a plain-language statement of the claim.  A run shares one
+:class:`RunContext`, whose memo builds each exact row and tree table once.
+Default budgets are chosen so that a full run finishes in well under a
+minute; raising them tightens the same checks on larger instances.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from itertools import product
-from typing import Callable, Iterator, Mapping
+from math import factorial
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DispersionError
 from .perms import perm_count_checks, perm_stats, roundtrip_check
 from .probability import (
+    ScaledRow,
     final_distribution,
     lx_to_sumtroid,
     row_from_json,
@@ -46,6 +49,7 @@ from .reachability import (
 )
 from .states import (
     FinalShadowId,
+    apply_move,
     apply_move_labeled,
     available_moves,
     clusteron,
@@ -60,6 +64,7 @@ from .states import (
 )
 from .suites import from_suites, parse_suite_state, to_suites, verify_move_correspondence
 from .trees import (
+    RTable,
     ab_identities_check,
     eulerian_check,
     r_table_bruteforce,
@@ -114,8 +119,6 @@ class RunConfig:
 
     max_n: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_MAX_N))
     node_budget: int = DEFAULT_NODE_BUDGET
-    seed: int = 0
-    cache_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.node_budget <= 0 or any(v <= 0 for v in self.max_n.values()):
@@ -131,6 +134,32 @@ def config_with_max_n(max_n: int | None = None, **kwargs) -> RunConfig:
     if max_n is not None:
         budgets = {k: max_n for k in budgets}
     return RunConfig(max_n=budgets, **kwargs)
+
+
+class RunContext:
+    """One verification run: its config and a memo of exact objects.
+
+    The memo holds scaled rows and brute-force tree tables by size, and
+    never reachability graphs, which would dominate peak memory.  It
+    calls ``scaled_row`` and ``r_table_bruteforce`` through this
+    module's globals at call time, so tracers that swap them see every
+    build.
+    """
+
+    def __init__(self, cfg: RunConfig | None = None) -> None:
+        self.cfg = cfg or RunConfig()
+        self._rows: dict[int, ScaledRow] = {}
+        self._tables: dict[int, RTable] = {}
+
+    def row(self, n: int) -> ScaledRow:
+        if n not in self._rows:
+            self._rows[n] = scaled_row(n, node_budget=self.cfg.node_budget)
+        return self._rows[n]
+
+    def table(self, n: int) -> RTable:
+        if n not in self._tables:
+            self._tables[n] = r_table_bruteforce(n)
+        return self._tables[n]
 
 
 # ---------------------------------------------------------------------------
@@ -164,624 +193,605 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# suite machinery
+# the registry
 
 
-def _run(
-    checks: list[CheckResult], check_id: str, claim: str, fn: Callable[[], str | None]
-) -> None:
-    try:
-        detail = fn()
-    except AssertionError as e:
-        checks.append(CheckResult(check_id, "fail", str(e) or "assertion failed", claim))
-    except DispersionError as e:
-        checks.append(
-            CheckResult(check_id, "fail", f"{type(e).__name__}: {e}", claim)
-        )
-    else:
-        checks.append(CheckResult(check_id, "pass", detail or "", claim))
+@dataclass(frozen=True)
+class Check:
+    """A registered claim; ``fn(ctx, top)`` returns the detail line.
+
+    ``top`` is the run's size limit for the check's suite.  The function
+    fails by raising ``AssertionError`` or a :class:`DispersionError`.
+    """
+
+    suite: str
+    check_id: str
+    claim: str
+    fn: Callable[[RunContext, int], str]
 
 
-def suite_states(cfg: RunConfig) -> VerifyReport:
-    top = cfg.limit("states")
-    checks: list[CheckResult] = []
-
-    def parse_roundtrip() -> str:
-        for text in ("11", "12", "1011001", "1[12]01@-2", "0001111000", "2"):
-            s = parse_state(text)
-            assert parse_state(s.text()) == s, text
-        return "6 sample patterns"
-
-    _run(checks, "states.parse-roundtrip", "pattern -> state -> text -> state is the identity", parse_roundtrip)
-
-    def chain() -> str:
-        path = run_policy(parse_state("12"), "leftmost")
-        got = [p.pattern() for p in path]
-        assert got == ["12", "1011", "11001", "100101"], got
-        return " -> ".join(got)
-
-    _run(checks, "states.forced-chain", "the 12 start admits exactly one play, of three moves", chain)
-
-    def entropy_increases() -> str:
-        edges = 0
-        for n in range(2, top + 1):
-            g = explore(flat_clusteron(n), cfg.node_budget)
-            for s in g.nodes:
-                for _, t in g.edges[s]:
-                    assert entropy(t) > entropy(s), (s.text(), t.text())
-                    edges += 1
-        return f"{edges} edges, flat starts up to {top}"
-
-    _run(checks, "states.entropy-increase", "entropy strictly increases along every move (termination)", entropy_increases)
-
-    def labeled_agrees() -> str:
-        moves = 0
-        for n in range(2, min(top, 5) + 1):
-            g = explore(flat_clusteron(n), cfg.node_budget)
-            for s in g.nodes:
-                ls = LabeledState.from_state(s)
-                for m, t in g.edges[s]:
-                    pushed = apply_move_labeled(ls, m, state=s)
-                    assert pushed.to_state() == t, (s.text(), m)
-                    assert pushed.positions == tuple(sorted(pushed.positions))
-                    moves += 1
-        return f"{moves} labeled moves cross-checked"
-
-    _run(checks, "states.labeled-pushing", "the order-preserving labeled move matches the room move", labeled_agrees)
-
-    def displacement() -> str:
-        for n in range(2, top + 1):
-            assert max_displacement(n, cfg.node_budget) == n - 1, n
-            start = flat_clusteron(n)
-            left = run_policy(start, "leftmost")[-1]
-            right = run_policy(start, "rightmost")[-1]
-            dl = LabeledState.from_state(left).positions[-1] - (n - 1)
-            dr = LabeledState.from_state(right).positions[0] - 0
-            assert dl == n - 1, (n, "all-leftmost play, rightmost occupant", dl)
-            assert dr == -(n - 1), (n, "all-rightmost play, leftmost occupant", dr)
-        return f"bound n-1 attained for n up to {top}"
-
-    _run(
-        checks,
-        "states.displacement-bound",
-        "no occupant ever moves more than n-1 rooms; extreme plays attain it",
-        displacement,
-    )
-
-    return VerifyReport("states", tuple(checks))
+CHECKS: dict[str, Check] = {}  # by check id, in registration order
 
 
-def suite_suites_bijection(cfg: RunConfig) -> VerifyReport:
-    top = cfg.limit("suites-bijection")
-    checks: list[CheckResult] = []
+def check(suite: str, check_id: str, claim: str):
+    """Decorator registering a check function under its suite and id."""
 
-    def codec() -> str:
-        assert to_suites(parse_state("1011001")).pattern() == "1201"
-        assert from_suites(parse_suite_state("1201")).pattern() == "1011001"
-        for text in ("11", "101", "110011001", "10010101"):
-            s = parse_state(text)
-            assert from_suites(to_suites(s)) == s, text
-        return "codec round trip on samples"
+    def register(fn: Callable[[RunContext, int], str]):
+        CHECKS[check_id] = Check(suite, check_id, claim, fn)
+        return fn
 
-    _run(checks, "suites.codec", "run-length encoding to suites is invertible", codec)
-
-    def correspondence() -> str:
-        nodes = 0
-        for n in range(2, top + 1):
-            rep = verify_move_correspondence(flat_clusteron(n), cfg.node_budget)
-            assert rep.ok, (n, rep.mismatches[:3])
-            assert rep.room_nodes == rep.suite_nodes
-            assert rep.room_edges == rep.suite_edges
-            nodes += rep.room_nodes
-        return f"{nodes} states, flat starts up to {top}"
-
-    _run(
-        checks,
-        "suites.move-correspondence",
-        "room moves and suite splits generate isomorphic graphs with equal centroid changes",
-        correspondence,
-    )
-
-    return VerifyReport("suites-bijection", tuple(checks))
+    return register
 
 
-def suite_finals(cfg: RunConfig) -> VerifyReport:
-    top = cfg.limit("finals")
-    checks: list[CheckResult] = []
-
-    def coverage() -> str:
-        starts = 0
-        for n in range(2, top + 1):
-            fam = frozenset(final_shadow_family(n))
-            for parts in compositions(n):
-                s = clusteron(parts)
-                if len(parts) == 1:
-                    assert available_moves(s) == () and is_final(s)
-                    continue
-                got = final_shadow_set(s, cfg.node_budget)
-                if parts == (1, 2):
-                    assert got == {FinalShadowId(3, 1)}, got
-                elif parts == (2, 1):
-                    assert got == {FinalShadowId(3, 2)}, got
-                else:
-                    assert got == fam, (parts, sorted(got ^ fam))
-                starts += 1
-        return f"{starts} movable clusterons up to size {top}; 12/21 exceptions confirmed"
-
-    _run(
-        checks,
-        "finals.family-coverage",
-        "every movable clusteron reaches exactly the n final shadows, except 12 and 21",
-        coverage,
-    )
-
-    def placements() -> str:
-        assert flat_final_placements(1) == frozenset()
-        g1 = explore(flat_clusteron(1), cfg.node_budget)
-        assert g1.finals == (flat_clusteron(1),)
-        for n in range(2, top + 2):
-            g = explore(flat_clusteron(n), cfg.node_budget)
-            got = frozenset(placement_of(f) for f in g.finals)
-            want = flat_final_placements(n)
-            assert got == want, (n, sorted(got ^ want))
-            if n >= 5:
-                assert len(want) == (n - 3) * (n - 1) + 2, n
-        return f"exhaustive match for flat starts up to {top + 1}"
-
-    _run(
-        checks,
-        "finals.flat-placements",
-        "the predicted set of final placements of a flat start is exhaustive and exact",
-        placements,
-    )
-
-    def distinct_sumtroids() -> str:
-        for n in range(2, top + 2):
-            ks = [sumtroid(p.to_state()) for p in flat_final_placements(n)]
-            assert len(ks) == len(set(ks)), n
-        return f"flat starts up to {top + 1}"
-
-    _run(
-        checks,
-        "finals.sumtroid-determines",
-        "final placements of a flat start have pairwise distinct sumtroids",
-        distinct_sumtroids,
-    )
-
-    def merged() -> str:
-        cases = [(2, 1, 2, 1), (3, 1, 2, 1), (3, 2, 3, 1), (3, 2, 2, 1)]
-        for n1, x, n2, y in cases:
-            rep = merge_shadows_check(n1, x, n2, y, cfg.node_budget)
-            assert rep.ok, (n1, x, n2, y, rep)
-        return f"{len(cases)} adjacent-shadow merges"
-
-    _run(
-        checks,
-        "finals.merge-shadows",
-        "two adjacent final shadows settle into their merged shadow at constant sumtroid",
-        merged,
-    )
-
-    return VerifyReport("finals", tuple(checks))
-
-
-def suite_locked_in(cfg: RunConfig) -> VerifyReport:
-    top = cfg.limit("locked-in")
-    checks: list[CheckResult] = []
-
-    def equivalence() -> str:
-        nodes = 0
-        for n in range(2, top + 1):
-            rep = verify_locked_in_equivalence(flat_clusteron(n), cfg.node_budget)
-            assert rep.ok, (n, rep.mismatches[:3])
-            nodes += rep.nodes
-        return f"{nodes} states, flat starts up to {top}"
-
-    _run(
-        checks,
-        "locked.spacious-equivalence",
-        "a state keeps its sumtroid forever exactly when it is spacious",
-        equivalence,
-    )
-
-    def gap_classes() -> str:
-        edges = 0
-        for n in range(2, top + 1):
-            g = explore(flat_clusteron(n), cfg.node_budget)
-            for s in g.nodes:
-                for m, _ in g.edges[s]:
-                    gap_delta_class(s, m)  # self-verifying
-                    edges += 1
-        return f"{edges} classified moves, flat starts up to {top}"
-
-    _run(
-        checks,
-        "locked.gap-classes",
-        "each move changes the gap count by +1, 0 or -1 as read off the bounding gaps",
-        gap_classes,
-    )
-
-    def decrease_bound() -> str:
-        earliest = {}
-        for n in range(2, min(top, 6) + 1):
-            for parts in compositions(n):
-                if len(parts) == 1:
-                    continue
-                e = earliest_gap_decrease(explore(clusteron(parts), cfg.node_budget))
-                if e is not None:
-                    earliest[parts] = e
-        assert min(earliest.values()) == 3, min(earliest.values())
-        assert earliest[(2, 1, 1)] == 3
-        path = [parse_state("1001111")]
-        for pattern in ("10110011", "101101001", "110011001"):
-            g = explore(path[-1], cfg.node_budget)
-            step = [t for _, t in g.edges[path[-1]] if t.pattern() == pattern]
-            assert step, pattern
-            path.append(step[0])
-        return "tight at move 3; worked three-move path drops 3 gaps to 2"
-
-    _run(
-        checks,
-        "locked.gap-decrease-bound",
-        "the gap count can first decrease at move 3, never earlier",
-        decrease_bound,
-    )
-
-    def no_crowded() -> str:
-        states = 0
-        for n in range(2, min(top, 6) + 1):
-            for parts in compositions(n):
-                s0 = clusteron(parts)
-                for s in explore(s0, cfg.node_budget).nodes:
-                    if s != s0:
-                        assert not has_crowded_isolated_room(s), (parts, s.text())
-                        states += 1
-        return f"{states} reached states, clusterons up to size {min(top, 6)}"
-
-    _run(
-        checks,
-        "locked.no-crowded-isolated-room",
-        "no play from a clusteron ever strands several occupants in an isolated room",
-        no_crowded,
-    )
-
-    return VerifyReport("locked-in", tuple(checks))
-
-
-def suite_probability(cfg: RunConfig) -> VerifyReport:
-    top = cfg.limit("probability")
-    checks: list[CheckResult] = []
-
-    def golden_rows() -> str:
-        golden = golden_scaled_rows()
-        hi = min(max(golden), top)
-        for n in range(3, hi + 1):
-            got = scaled_row(n, node_budget=cfg.node_budget).half_sequence()
-            assert got == golden[n], (n, got)
-        return f"rows 3..{hi} equal the shipped goldens"
-
-    _run(
-        checks,
-        "prob.golden-rows",
-        "exact scaled distributions reproduce the frozen row data",
-        golden_rows,
-    )
-
-    def uniform_shadows() -> str:
-        for n in range(2, top + 1):
-            probs = shadow_probabilities(n, cfg.node_budget)
-            assert set(probs) == set(range(1, n))
-            assert all(p == Fraction(1, n - 1) for p in probs.values()), (n, probs)
-        return f"each of the n-1 shadows has probability 1/(n-1), n up to {top}"
-
-    _run(
-        checks,
-        "prob.uniform-shadows",
-        "all final shadows of a flat start are equally likely",
-        uniform_shadows,
-    )
-
-    def flat4_table() -> str:
-        dist = final_distribution(flat_clusteron(4), cfg.node_budget)
-        want = {
-            int(row["sumtroid"]): Fraction(row["mass"])
-            for row in golden_flat4_finals()
-        }
-        assert dict(dist.mass) == want, dist.mass
-        g = explore(flat_clusteron(4), cfg.node_budget)
-        got_placements = {
-            (p.shadow_id.k, p.leftmost_room)
-            for p in map(placement_of, g.finals)
-        }
-        want_placements = {
-            (int(r["shadow_k"]), int(r["leftmost"])) for r in golden_flat4_finals()
-        }
-        assert got_placements == want_placements
-        return "5 placements, masses 1/6,1/6,1/3,1/6,1/6"
-
-    _run(
-        checks,
-        "prob.flat4-finals",
-        "the flat 4-clusteron lands in its five placements with the frozen masses",
-        flat4_table,
-    )
-
-    def zero_pattern() -> str:
-        for n in range(3, top + 1):
-            row = scaled_row(n, node_budget=cfg.node_budget)
-            rep = zero_pattern_check(row)
-            assert rep.ok, (n, rep.mismatches[:3])
-        return f"support and zero residues exact for rows 3..{top}"
-
-    _run(
-        checks,
-        "prob.zero-pattern",
-        "row support is |K| within the half-width, zero exactly on one residue class mod n",
-        zero_pattern,
-    )
-
-    def symmetry_and_total() -> str:
-        from math import factorial
-
-        for n in range(3, top + 1):
-            row = scaled_row(n, node_budget=cfg.node_budget)
-            row.check_symmetry()
-            assert sum(row.values.values()) == factorial(n - 1), n
-        return f"rows 3..{top} symmetric, each summing to (n-1)!"
-
-    _run(
-        checks,
-        "prob.row-symmetry",
-        "rows are mirror-symmetric and total (n-1)!",
-        symmetry_and_total,
-    )
-
-    def serialization() -> str:
-        row = scaled_row(min(6, top), node_budget=cfg.node_budget)
-        blob = row_to_json(row)
-        back = row_from_json(blob)
-        assert back == row
-        corrupt = blob.replace('"v": "2"', '"v": "3"', 1)
+def run_checks(ids: Iterable[str], ctx: RunContext) -> tuple[CheckResult, ...]:
+    """Run the given checks in order, sharing the context's memo."""
+    out = []
+    for check_id in ids:
+        c = CHECKS[check_id]
         try:
-            row_from_json(corrupt)
-        except DispersionError:
-            pass
+            detail = c.fn(ctx, ctx.cfg.limit(c.suite))
+        except AssertionError as e:
+            out.append(CheckResult(check_id, "fail", str(e) or "assertion failed", c.claim))
+        except DispersionError as e:
+            out.append(CheckResult(check_id, "fail", f"{type(e).__name__}: {e}", c.claim))
         else:
-            raise AssertionError("tampered payload was accepted")
-        return "round trip exact; tampering detected by content hash"
-
-    _run(
-        checks,
-        "prob.serialization",
-        "row JSON round-trips exactly and rejects corrupted payloads",
-        serialization,
-    )
-
-    return VerifyReport("probability", tuple(checks))
+            out.append(CheckResult(check_id, "pass", detail or "", c.claim))
+    return tuple(out)
 
 
-def suite_window(cfg: RunConfig) -> VerifyReport:
-    top = cfg.limit("window")
-    checks: list[CheckResult] = []
-
-    def worked_sums() -> str:
-        row5 = scaled_row(5, node_budget=cfg.node_budget)
-        lo, hi = window_bounds(5, -1)
-        assert (lo, hi) == (-2, 1), (lo, hi)
-        got5 = sum(scaled_row(4, node_budget=cfg.node_budget).value(i) for i in range(lo, hi + 1))
-        assert got5 == 4, got5
-        lo6, hi6 = window_bounds(6, -2)
-        assert (lo6, hi6) == (-4, 0), (lo6, hi6)
-        got6 = sum(row5.value(i) for i in range(lo6, hi6 + 1))
-        assert got6 == 11, got6
-        lo6b, hi6b = window_bounds(6, -4)
-        assert (lo6b, hi6b) == (-5, -1), (lo6b, hi6b)
-        got6b = sum(row5.value(i) for i in range(lo6b, hi6b + 1))
-        assert got6b == 11, got6b
-        return "0+1+2+1=4 and 1+2+4+4+0=11 reproduced"
-
-    _run(
-        checks,
-        "window.worked-sums",
-        "the documented sliding-window sums come out of the stated bounds",
-        worked_sums,
-    )
-
-    def recurrence() -> str:
-        prev = scaled_row(3, node_budget=cfg.node_budget)
-        for n in range(4, top + 1):
-            stepped = window_recurrence_step(prev)
-            direct = scaled_row(n, node_budget=cfg.node_budget)
-            assert stepped == direct, n
-            prev = direct
-        return f"row n built from row n-1 for n = 4..{top}"
-
-    _run(
-        checks,
-        "window.recurrence",
-        "each scaled row is the sliding-window sum of the previous one",
-        recurrence,
-    )
-
-    return VerifyReport("window", tuple(checks))
+# ---------------------------------------------------------------------------
+# states
 
 
-def suite_trees(cfg: RunConfig) -> VerifyReport:
-    top = cfg.limit("trees")
-    checks: list[CheckResult] = []
-
-    def tables_agree() -> str:
-        for n in range(2, top + 1):
-            assert r_table_recursive(n).r == r_table_bruteforce(n).r, n
-        return f"sizes 2..{top}"
-
-    _run(
-        checks,
-        "trees.recursion-vs-bruteforce",
-        "the size/leaves/path-end recursion reproduces exhaustive enumeration",
-        tables_agree,
-    )
-
-    def row_sums() -> str:
-        for n in range(2, top + 1):
-            table = r_table_bruteforce(n)
-            assert sum(table.r.values()) == total_trees(n), n
-            for x in range(1, n):
-                col = sum(table.value(l, x) for l in range(2, n + 1))
-                assert col == total_trees(n - 1), (n, x, col)
-        return f"column sums (n-2)! and totals (n-1)!, sizes 2..{top}"
-
-    _run(
-        checks,
-        "trees.column-sums",
-        "every path-end column of the tree table sums to (n-2)!",
-        row_sums,
-    )
-
-    def ab() -> str:
-        for n in range(3, top + 1):
-            rep = ab_identities_check(n)
-            assert rep.ok, (n, rep.mismatches[:3])
-        return f"sizes 3..{top}"
-
-    _run(
-        checks,
-        "trees.root-leaf-split",
-        "the root-is-leaf split satisfies its four cell-wise identities",
-        ab,
-    )
-
-    def t_vals() -> str:
-        assert t_values(3) == {2: 2}
-        got = t_values(5)
-        assert got == {2: 8, 3: 14, 4: 2}, got
-        assert sorted(got.values()) == [2, 8, 14]
-        return "t(5) = {2: 8, 3: 14, 4: 2}"
-
-    _run(
-        checks,
-        "trees.leaf-totals",
-        "leaf-count totals match enumeration (value multiset 8, 14, 2 at size 5)",
-        t_vals,
-    )
-
-    def eulerian() -> str:
-        rep = eulerian_check(top)
-        assert rep.ok, rep.mismatches[:3]
-        t5 = r_table_bruteforce(5)
-        assert [t5.value(l, 1) for l in (2, 3, 4)] == [1, 4, 1]
-        return f"x=1 column matches Eulerian numbers, sizes 3..{top}"
-
-    _run(
-        checks,
-        "trees.eulerian-column",
-        "the path-end-1 column obeys the Eulerian recurrence and alignment",
-        eulerian,
-    )
-
-    return VerifyReport("trees", tuple(checks))
+@check("states", "states.parse-roundtrip", "pattern -> state -> text -> state is the identity")
+def parse_roundtrip(ctx: RunContext, top: int) -> str:
+    for text in ("11", "12", "1011001", "1[12]01@-2", "0001111000", "2"):
+        s = parse_state(text)
+        assert parse_state(s.text()) == s, text
+    return "6 sample patterns"
 
 
-def suite_perms(cfg: RunConfig) -> VerifyReport:
-    top = cfg.limit("perms")
-    checks: list[CheckResult] = []
-
-    def examples() -> str:
-        st = perm_stats((2, 3, 4, 1))
-        assert (st.descents, st.special_descents, st.last) == (1, 1, 1)
-        st = perm_stats((1, 2, 3, 4))
-        assert (st.descents, st.special_descents, st.last) == (0, 1, 4)
-        st = perm_stats((4, 3, 2, 1))
-        assert (st.descents, st.special_descents, st.big_descents, st.last) == (3, 3, 0, 1)
-        return "3 documented stat examples"
-
-    _run(checks, "perms.stat-examples", "descent statistics match their definitions on samples", examples)
-
-    def roundtrip() -> str:
-        hi = min(top - 1, 8)
-        for n in range(2, hi + 1):
-            assert roundtrip_check(n), n
-        return f"all trees with up to {hi} vertices"
-
-    _run(
-        checks,
-        "perms.tree-bijection",
-        "largest-child-first reading is a bijection carrying leaves and path end",
-        roundtrip,
-    )
-
-    def counts() -> str:
-        for n in range(3, top + 1):
-            rep = perm_count_checks(n)
-            assert rep.ok, (n, rep.mismatches[:3])
-        return f"tallies at sizes 3..{top}"
-
-    _run(
-        checks,
-        "perms.count-identities",
-        "descent, special-descent, start-with-2 and relabeling tallies match the tree table",
-        counts,
-    )
-
-    return VerifyReport("perms", tuple(checks))
+@check("states", "states.forced-chain", "the 12 start admits exactly one play, of three moves")
+def forced_chain(ctx: RunContext, top: int) -> str:
+    path = run_policy(parse_state("12"), "leftmost")
+    got = [p.pattern() for p in path]
+    assert got == ["12", "1011", "11001", "100101"], got
+    return " -> ".join(got)
 
 
-def suite_bridge(cfg: RunConfig) -> VerifyReport:
-    top = cfg.limit("bridge")
-    checks: list[CheckResult] = []
+@check(
+    "states",
+    "states.entropy-increase",
+    "entropy strictly increases along every move (termination)",
+)
+def entropy_increase(ctx: RunContext, top: int) -> str:
+    edges = 0
+    for n in range(1, top + 1):
+        g = explore(flat_clusteron(n), ctx.cfg.node_budget)
+        for s in g.nodes:
+            for _, t in g.edges[s]:
+                assert entropy(t) > entropy(s), (s.text(), t.text())
+                edges += 1
+    return f"{edges} edges, flat starts up to {top}"
 
-    def lx_roundtrip() -> str:
-        cells = 0
-        for n in range(3, top + 1):
-            w = row_half_width(n)
-            res = zero_residue(n)
-            for k in range(-w, w + 1):
-                if k % n == res:
-                    continue
-                ell, x = sumtroid_to_lx(n, k)
-                assert lx_to_sumtroid(n, ell, x) == k, (n, k)
-                cells += 1
-        return f"{cells} nonzero cells, sizes 3..{top}"
 
-    _run(
-        checks,
-        "bridge.coordinates-roundtrip",
-        "sumtroid to (leaves, path end) coordinates and back is the identity off the zeros",
-        lx_roundtrip,
-    )
+@check(
+    "states",
+    "states.labeled-pushing",
+    "the order-preserving labeled move matches the room move",
+)
+def labeled_pushing(ctx: RunContext, top: int) -> str:
+    moves = 0
+    for n in range(2, min(top, 5) + 1):
+        g = explore(flat_clusteron(n), ctx.cfg.node_budget)
+        for s in g.nodes:
+            ls = LabeledState.from_state(s)
+            for m, t in g.edges[s]:
+                pushed = apply_move_labeled(ls, m, state=s)
+                assert pushed.to_state() == t, (s.text(), m)
+                assert pushed.positions == tuple(sorted(pushed.positions))
+                moves += 1
+    return f"{moves} labeled moves cross-checked"
 
-    def cells_match() -> str:
-        for n in range(3, top + 1):
-            row = scaled_row(n, node_budget=cfg.node_budget)
-            table = r_table_bruteforce(n)
-            w = row_half_width(n)
+
+@check(
+    "states",
+    "states.displacement-bound",
+    "no occupant ever moves more than n-1 rooms; extreme plays attain it",
+)
+def displacement_bound(ctx: RunContext, top: int) -> str:
+    for n in range(2, top + 1):
+        assert max_displacement(n, ctx.cfg.node_budget) == n - 1, n
+        start = flat_clusteron(n)
+        left = run_policy(start, "leftmost")[-1]
+        right = run_policy(start, "rightmost")[-1]
+        dl = LabeledState.from_state(left).positions[-1] - (n - 1)
+        dr = LabeledState.from_state(right).positions[0] - 0
+        assert dl == n - 1, (n, "all-leftmost play, rightmost occupant", dl)
+        assert dr == -(n - 1), (n, "all-rightmost play, leftmost occupant", dr)
+    return f"bound n-1 attained for n up to {top}"
+
+
+# ---------------------------------------------------------------------------
+# suites-bijection
+
+
+@check("suites-bijection", "suites.codec", "run-length encoding to suites is invertible")
+def codec(ctx: RunContext, top: int) -> str:
+    assert to_suites(parse_state("1011001")).pattern() == "1201"
+    assert from_suites(parse_suite_state("1201")).pattern() == "1011001"
+    for text in ("11", "101", "110011001", "10010101"):
+        s = parse_state(text)
+        assert from_suites(to_suites(s)) == s, text
+    return "codec round trip on samples"
+
+
+@check(
+    "suites-bijection",
+    "suites.move-correspondence",
+    "room moves and suite splits generate isomorphic graphs with equal centroid changes",
+)
+def move_correspondence(ctx: RunContext, top: int) -> str:
+    nodes = 0
+    for n in range(2, top + 1):
+        rep = verify_move_correspondence(flat_clusteron(n), ctx.cfg.node_budget)
+        assert rep.ok, (n, rep.mismatches[:3])
+        assert rep.room_nodes == rep.suite_nodes
+        assert rep.room_edges == rep.suite_edges
+        nodes += rep.room_nodes
+    # the size-4 trees node for node: one play of 1111, and its first moves
+    chain = [
+        parse_state(p)
+        for p in ("1111", "100111@-1", "1011001@-1", "1100101@-1", "10010101@-2")
+    ]
+    for s, t in zip(chain, chain[1:]):
+        assert t in [apply_move(s, m) for m in available_moves(s)], (s.text(), t.text())
+    got = [to_suites(s).cells for s in chain]
+    assert got == [(4,), (1, 0, 3), (1, 2, 0, 1), (2, 0, 1, 1), (1, 0, 1, 1, 1)], got
+    first = {to_suites(apply_move(chain[0], m)).cells for m in available_moves(chain[0])}
+    assert first == {(1, 0, 3), (2, 0, 2), (3, 0, 1)}, first
+    return f"{nodes} states, flat starts up to {top}"
+
+
+# ---------------------------------------------------------------------------
+# finals
+
+
+@check(
+    "finals",
+    "finals.family-coverage",
+    "every movable clusteron reaches exactly the n final shadows, except 12 and 21",
+)
+def family_coverage(ctx: RunContext, top: int) -> str:
+    starts = 0
+    for n in range(2, top + 1):
+        fam = frozenset(final_shadow_family(n))
+        for parts in compositions(n):
+            s = clusteron(parts)
+            if len(parts) == 1:
+                assert available_moves(s) == () and is_final(s)
+                continue
+            got = final_shadow_set(s, ctx.cfg.node_budget)
+            if parts == (1, 2):
+                assert got == {FinalShadowId(3, 1)}, got
+            elif parts == (2, 1):
+                assert got == {FinalShadowId(3, 2)}, got
+            else:
+                assert got == fam, (parts, sorted(got ^ fam))
+            starts += 1
+    return f"{starts} movable clusterons up to size {top}; 12/21 exceptions confirmed"
+
+
+@check(
+    "finals",
+    "finals.flat-placements",
+    "the predicted set of final placements of a flat start is exhaustive and exact",
+)
+def flat_placements(ctx: RunContext, top: int) -> str:
+    assert flat_final_placements(1) == frozenset()
+    g1 = explore(flat_clusteron(1), ctx.cfg.node_budget)
+    assert g1.finals == (flat_clusteron(1),)
+    for n in range(2, top + 2):
+        g = explore(flat_clusteron(n), ctx.cfg.node_budget)
+        got = frozenset(placement_of(f) for f in g.finals)
+        want = flat_final_placements(n)
+        assert got == want, (n, sorted(got ^ want))
+    for n in range(5, max(top + 2, 10)):
+        assert len(flat_final_placements(n)) == (n - 3) * (n - 1) + 2, n
+    return f"exhaustive match for flat starts up to {top + 1}"
+
+
+@check(
+    "finals",
+    "finals.sumtroid-determines",
+    "final placements of a flat start have pairwise distinct sumtroids",
+)
+def sumtroid_determines(ctx: RunContext, top: int) -> str:
+    for n in range(2, top + 2):
+        ks = [sumtroid(p.to_state()) for p in flat_final_placements(n)]
+        assert len(ks) == len(set(ks)), n
+    return f"flat starts up to {top + 1}"
+
+
+@check(
+    "finals",
+    "finals.merge-shadows",
+    "two adjacent final shadows settle into their merged shadow at constant sumtroid",
+)
+def merge_shadows(ctx: RunContext, top: int) -> str:
+    cases = [(2, 1, 2, 1), (3, 1, 2, 1), (3, 2, 3, 1), (3, 2, 2, 1)]
+    for n1, x, n2, y in cases:
+        rep = merge_shadows_check(n1, x, n2, y, ctx.cfg.node_budget)
+        assert rep.ok, (n1, x, n2, y, rep)
+    return f"{len(cases)} adjacent-shadow merges"
+
+
+# ---------------------------------------------------------------------------
+# locked-in
+
+
+@check(
+    "locked-in",
+    "locked.spacious-equivalence",
+    "a state keeps its sumtroid forever exactly when it is spacious",
+)
+def spacious_equivalence(ctx: RunContext, top: int) -> str:
+    nodes = 0
+    for n in range(2, top + 1):
+        rep = verify_locked_in_equivalence(flat_clusteron(n), ctx.cfg.node_budget)
+        assert rep.ok, (n, rep.mismatches[:3])
+        nodes += rep.nodes
+    return f"{nodes} states, flat starts up to {top}"
+
+
+@check(
+    "locked-in",
+    "locked.gap-classes",
+    "each move changes the gap count by +1, 0 or -1 as read off the bounding gaps",
+)
+def gap_classes(ctx: RunContext, top: int) -> str:
+    edges = 0
+    for n in range(2, top + 1):
+        g = explore(flat_clusteron(n), ctx.cfg.node_budget)
+        for s in g.nodes:
+            for m, _ in g.edges[s]:
+                gap_delta_class(s, m)  # self-verifying
+                edges += 1
+    return f"{edges} classified moves, flat starts up to {top}"
+
+
+@check(
+    "locked-in",
+    "locked.gap-decrease-bound",
+    "the gap count can first decrease at move 3, never earlier",
+)
+def gap_decrease_bound(ctx: RunContext, top: int) -> str:
+    earliest = {}
+    for n in range(2, min(top, 6) + 1):
+        for parts in compositions(n):
+            if len(parts) == 1:
+                continue
+            e = earliest_gap_decrease(explore(clusteron(parts), ctx.cfg.node_budget))
+            if e is not None:
+                earliest[parts] = e
+    assert min(earliest.values()) == 3, min(earliest.values())
+    assert earliest[(2, 1, 1)] == 3
+    path = [parse_state("1001111")]
+    for pattern in ("10110011", "101101001", "110011001"):
+        g = explore(path[-1], ctx.cfg.node_budget)
+        step = [t for _, t in g.edges[path[-1]] if t.pattern() == pattern]
+        assert step, pattern
+        path.append(step[0])
+    return "tight at move 3; worked three-move path drops 3 gaps to 2"
+
+
+@check(
+    "locked-in",
+    "locked.no-crowded-isolated-room",
+    "no play from a clusteron ever strands several occupants in an isolated room",
+)
+def no_crowded_isolated_room(ctx: RunContext, top: int) -> str:
+    states = 0
+    for n in range(2, min(top, 6) + 1):
+        for parts in compositions(n):
+            s0 = clusteron(parts)
+            for s in explore(s0, ctx.cfg.node_budget).nodes:
+                if s != s0:
+                    assert not has_crowded_isolated_room(s), (parts, s.text())
+                    states += 1
+    return f"{states} reached states, clusterons up to size {min(top, 6)}"
+
+
+# ---------------------------------------------------------------------------
+# probability
+
+
+@check(
+    "probability",
+    "prob.golden-rows",
+    "exact scaled distributions reproduce the frozen row data",
+)
+def golden_rows(ctx: RunContext, top: int) -> str:
+    golden = golden_scaled_rows()
+    hi = min(max(golden), top)
+    for n in range(3, hi + 1):
+        got = ctx.row(n).half_sequence()
+        assert got == golden[n], (n, got)
+    if hi >= 9:
+        tail = ctx.row(9).half_sequence()[-4:]
+        assert tail == [2336, 2416, 2416, 0], tail
+    return f"rows 3..{hi} equal the shipped goldens"
+
+
+@check(
+    "probability",
+    "prob.uniform-shadows",
+    "all final shadows of a flat start are equally likely",
+)
+def uniform_shadows(ctx: RunContext, top: int) -> str:
+    for n in range(2, top + 1):
+        probs = shadow_probabilities(n, ctx.cfg.node_budget)
+        assert set(probs) == set(range(1, n))
+        assert all(p == Fraction(1, n - 1) for p in probs.values()), (n, probs)
+    return f"each of the n-1 shadows has probability 1/(n-1), n up to {top}"
+
+
+@check(
+    "probability",
+    "prob.flat4-finals",
+    "the flat 4-clusteron lands in its five placements with the frozen masses",
+)
+def flat4_finals(ctx: RunContext, top: int) -> str:
+    golden = {int(row["sumtroid"]): row for row in golden_flat4_finals()}
+    want = {k: Fraction(row["mass"]) for k, row in golden.items()}
+    for start in (flat_clusteron(4), parse_state("0001111000")):
+        dist = final_distribution(start, ctx.cfg.node_budget)
+        assert dict(dist.mass) == want, (start.text(), dist.mass)
+    assert sorted(want.values()) == [Fraction(1, 6)] * 4 + [Fraction(1, 3)]
+    g = explore(flat_clusteron(4), ctx.cfg.node_budget)
+    finals = {sumtroid(f) - sumtroid(g.initial): f for f in g.finals}
+    assert set(finals) == set(golden), sorted(finals)
+    for k, row in golden.items():
+        f = finals[k]
+        got = (f.pattern(), f.offset, placement_of(f).shadow_id.k)
+        assert got == (row["pattern"], int(row["leftmost"]), int(row["shadow_k"])), (k, got)
+    return "5 placements, masses 1/6,1/6,1/3,1/6,1/6"
+
+
+@check(
+    "probability",
+    "prob.zero-pattern",
+    "row support is |K| within the half-width, zero exactly on one residue class mod n",
+)
+def zero_pattern(ctx: RunContext, top: int) -> str:
+    for n in range(2, top + 1):
+        rep = zero_pattern_check(ctx.row(n))
+        assert rep.ok, (n, rep.mismatches[:3])
+    return f"support and zero residues exact for rows 2..{top}"
+
+
+@check("probability", "prob.row-symmetry", "rows are mirror-symmetric and total (n-1)!")
+def row_symmetry(ctx: RunContext, top: int) -> str:
+    for n in range(3, top + 1):
+        row = ctx.row(n)
+        row.check_symmetry()
+        assert sum(row.values.values()) == factorial(n - 1), n
+    return f"rows 3..{top} symmetric, each summing to (n-1)!"
+
+
+@check(
+    "probability",
+    "prob.serialization",
+    "row JSON round-trips exactly and rejects corrupted payloads",
+)
+def serialization(ctx: RunContext, top: int) -> str:
+    row = ctx.row(min(6, top))
+    blob = row_to_json(row)
+    assert row_from_json(blob) == row
+    corrupt = blob.replace('"v": "2"', '"v": "3"', 1)
+    try:
+        row_from_json(corrupt)
+    except DispersionError:
+        pass
+    else:
+        raise AssertionError("tampered payload was accepted")
+    return "round trip exact; tampering detected by content hash"
+
+
+# ---------------------------------------------------------------------------
+# window
+
+
+@check(
+    "window",
+    "window.worked-sums",
+    "the documented sliding-window sums come out of the stated bounds",
+)
+def worked_sums(ctx: RunContext, top: int) -> str:
+    row5 = ctx.row(5)
+    lo, hi = window_bounds(5, -1)
+    assert (lo, hi) == (-2, 1), (lo, hi)
+    got5 = sum(ctx.row(4).value(i) for i in range(lo, hi + 1))
+    assert got5 == 4 == row5.value(-1), (got5, row5.value(-1))
+    lo6, hi6 = window_bounds(6, -2)
+    assert (lo6, hi6) == (-4, 0), (lo6, hi6)
+    got6 = sum(row5.value(i) for i in range(lo6, hi6 + 1))
+    assert got6 == 11 == ctx.row(6).value(-2), (got6, ctx.row(6).value(-2))
+    lo6b, hi6b = window_bounds(6, -4)
+    assert (lo6b, hi6b) == (-5, -1), (lo6b, hi6b)
+    got6b = sum(row5.value(i) for i in range(lo6b, hi6b + 1))
+    assert got6b == 11, got6b
+    return "0+1+2+1=4 and 1+2+4+4+0=11 reproduced"
+
+
+@check(
+    "window",
+    "window.recurrence",
+    "each scaled row is the sliding-window sum of the previous one",
+)
+def recurrence(ctx: RunContext, top: int) -> str:
+    for n in range(4, top + 1):
+        assert window_recurrence_step(ctx.row(n - 1)) == ctx.row(n), n
+    return f"row n built from row n-1 for n = 4..{top}"
+
+
+# ---------------------------------------------------------------------------
+# trees
+
+
+@check(
+    "trees",
+    "trees.recursion-vs-bruteforce",
+    "the size/leaves/path-end recursion reproduces exhaustive enumeration",
+)
+def recursion_vs_bruteforce(ctx: RunContext, top: int) -> str:
+    for n in range(2, top + 1):
+        assert r_table_recursive(n).r == ctx.table(n).r, n
+    return f"sizes 2..{top}"
+
+
+@check(
+    "trees",
+    "trees.column-sums",
+    "every path-end column of the tree table sums to (n-2)!",
+)
+def column_sums(ctx: RunContext, top: int) -> str:
+    for n in range(2, top + 1):
+        table = ctx.table(n)
+        assert sum(table.r.values()) == total_trees(n), n
+        for x in range(1, n):
+            col = sum(table.value(l, x) for l in range(1, n + 1))
+            assert col == total_trees(n - 1), (n, x, col)
+    return f"column sums (n-2)! and totals (n-1)!, sizes 2..{top}"
+
+
+@check(
+    "trees",
+    "trees.root-leaf-split",
+    "the root-is-leaf split satisfies its four cell-wise identities",
+)
+def root_leaf_split(ctx: RunContext, top: int) -> str:
+    for n in range(3, top + 1):
+        rep = ab_identities_check(n, table=ctx.table)
+        assert rep.ok, (n, rep.mismatches[:3])
+    return f"sizes 3..{top}"
+
+
+@check(
+    "trees",
+    "trees.leaf-totals",
+    "leaf-count totals match enumeration (value multiset 8, 14, 2 at size 5)",
+)
+def leaf_totals(ctx: RunContext, top: int) -> str:
+    assert t_values(3) == {2: 2}
+    got = t_values(5)
+    assert got == {2: 8, 3: 14, 4: 2}, got
+    assert sorted(got.values()) == [2, 8, 14]
+    return "t(5) = {2: 8, 3: 14, 4: 2}"
+
+
+@check(
+    "trees",
+    "trees.eulerian-column",
+    "the path-end-1 column obeys the Eulerian recurrence and alignment",
+)
+def eulerian_column(ctx: RunContext, top: int) -> str:
+    rep = eulerian_check(top, table=ctx.table)
+    assert rep.ok, rep.mismatches[:3]
+    assert [ctx.table(5).value(l, 1) for l in (2, 3, 4)] == [1, 4, 1]
+    return f"x=1 column matches Eulerian numbers, sizes 3..{top}"
+
+
+# ---------------------------------------------------------------------------
+# perms
+
+
+@check("perms", "perms.stat-examples", "descent statistics match their definitions on samples")
+def stat_examples(ctx: RunContext, top: int) -> str:
+    st = perm_stats((2, 3, 4, 1))
+    assert (st.descents, st.special_descents, st.last) == (1, 1, 1)
+    st = perm_stats((1, 2, 3, 4))
+    assert (st.descents, st.special_descents, st.last) == (0, 1, 4)
+    st = perm_stats((4, 3, 2, 1))
+    assert (st.descents, st.special_descents, st.big_descents, st.last) == (3, 3, 0, 1)
+    return "3 documented stat examples"
+
+
+@check(
+    "perms",
+    "perms.tree-bijection",
+    "largest-child-first reading is a bijection carrying leaves and path end",
+)
+def tree_bijection(ctx: RunContext, top: int) -> str:
+    for n in range(2, top + 1):
+        assert roundtrip_check(n), n
+    return f"all trees with up to {top} vertices"
+
+
+@check(
+    "perms",
+    "perms.count-identities",
+    "descent, special-descent, start-with-2 and relabeling tallies match the tree table",
+)
+def count_identities(ctx: RunContext, top: int) -> str:
+    for n in range(3, top + 1):
+        rep = perm_count_checks(n, table=ctx.table)
+        assert rep.ok, (n, rep.mismatches[:3])
+    return f"tallies at sizes 3..{top}"
+
+
+# ---------------------------------------------------------------------------
+# bridge
+
+
+@check(
+    "bridge",
+    "bridge.coordinates-roundtrip",
+    "sumtroid to (leaves, path end) coordinates and back is the identity off the zeros",
+)
+def coordinates_roundtrip(ctx: RunContext, top: int) -> str:
+    cells = 0
+    for n in range(3, top + 1):
+        w = row_half_width(n)
+        res = zero_residue(n)
+        for k in range(-w, w + 1):
+            if k % n == res:
+                continue
+            ell, x = sumtroid_to_lx(n, k)
+            assert lx_to_sumtroid(n, ell, x) == k, (n, k)
+            cells += 1
+    return f"{cells} nonzero cells, sizes 3..{top}"
+
+
+@check(
+    "bridge",
+    "bridge.tree-counts-equal-row",
+    "tree-table cells equal the scaled row at the mapped sumtroid",
+)
+def tree_counts_equal_row(ctx: RunContext, top: int) -> str:
+    for n in range(3, top + 1):
+        row = ctx.row(n)
+        table = ctx.table(n)
+        for x in range(1, n):
+            assert table.value(1, x) == table.value(n, x) == 0, (n, x)
             for leaves in range(2, n):
-                for x in range(1, n):
-                    k = lx_to_sumtroid(n, leaves, x)
-                    want = row.value(k) if abs(k) <= w else 0
-                    assert table.value(leaves, x) == want, (n, leaves, x, k)
-        return f"every (leaves, path end) cell equals its row value, sizes 3..{top}"
-
-    _run(
-        checks,
-        "bridge.tree-counts-equal-row",
-        "tree-table cells equal the scaled row at the mapped sumtroid",
-        cells_match,
-    )
-
-    return VerifyReport("bridge", tuple(checks))
+                k = lx_to_sumtroid(n, leaves, x)
+                assert table.value(leaves, x) == row.value(k), (n, leaves, x, k)
+    return f"every (leaves, path end) cell equals its row value, sizes 3..{top}"
 
 
-SUITES: dict[str, Callable[[RunConfig], VerifyReport]] = {
-    "states": suite_states,
-    "suites-bijection": suite_suites_bijection,
-    "finals": suite_finals,
-    "locked-in": suite_locked_in,
-    "probability": suite_probability,
-    "window": suite_window,
-    "trees": suite_trees,
-    "perms": suite_perms,
-    "bridge": suite_bridge,
+# ---------------------------------------------------------------------------
+# suites and reports
+
+
+def run_suite(name: str, cfg: RunConfig, ctx: RunContext | None = None) -> VerifyReport:
+    """Run one suite's checks in registration order."""
+    ids = [c.check_id for c in CHECKS.values() if c.suite == name]
+    return VerifyReport(name, run_checks(ids, ctx or RunContext(cfg)))
+
+
+SUITES: dict[str, Callable[..., VerifyReport]] = {
+    name: partial(run_suite, name) for name in DEFAULT_MAX_N
 }
 
 
@@ -794,7 +804,8 @@ def run_suites(
     unknown = [s for s in selected if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    return tuple(SUITES[name](cfg) for name in sorted(selected))
+    ctx = RunContext(cfg)
+    return tuple(SUITES[name](cfg, ctx) for name in sorted(selected))
 
 
 def reports_to_json(reports: tuple[VerifyReport, ...]) -> str:

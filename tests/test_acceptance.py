@@ -1,58 +1,83 @@
 """Acceptance checks for the exact dispersion engine.
 
 Each test settles one headline claim and prints a single verdict line,
-so a full run reads as a thirteen-line scorecard.  The heavy shared
-objects (exact rows, reachability graphs) come from session fixtures.
+so a full run reads as a thirteen-line scorecard.  Criteria 1-12 run
+their ``verify`` checks through the registry, sharing the session's run
+context; criterion 13 samples.
 """
-import json
 import math
-from fractions import Fraction
 
 import pytest
 
-from dispersion import (
-    FinalShadowId,
-    TheoremViolationError,
-    available_moves,
-    clusteron,
-    displacements,
-    explore,
-    final_shadow_family,
-    final_shadow_set,
-    flat_clusteron,
-    flat_final_placements,
-    golden_flat4_finals,
-    golden_scaled_rows,
-    has_crowded_isolated_room,
-    is_final,
-    lx_to_sumtroid,
-    max_displacement,
-    monte_carlo_counts,
-    parse_state,
-    perm_count_checks,
-    perm_stats,
-    perm_to_tree,
-    placement_of,
-    r_table_bruteforce,
-    r_table_recursive,
-    run_policy,
-    scaled_row,
-    shadow_of_sumtroid,
-    shadow_probabilities,
-    sumtroid,
-    t_values,
-    tree_stats,
-    tree_to_perm,
-    verify_locked_in_equivalence,
-    verify_move_correspondence,
-    window_bounds,
-    window_recurrence_step,
-    zero_pattern_check,
-)
-from dispersion.states import apply_move, entropy
-from dispersion.suites import to_suites
-from dispersion.trees import ab_identities_check, enumerate_trees, eulerian_check
-from dispersion.verify import compositions
+from dispersion import monte_carlo_counts, shadow_of_sumtroid
+from dispersion.verify import run_checks
+
+# criterion -> (scorecard label, the verify checks that settle it)
+CRITERIA = {
+    1: (
+        "exact scaled rows for sizes 3..9 equal the frozen tables",
+        ("prob.golden-rows", "prob.row-symmetry", "prob.serialization"),
+    ),
+    2: (
+        "each of the n-1 final shadows has exact probability 1/(n-1), n <= 10",
+        ("prob.uniform-shadows",),
+    ),
+    3: (
+        "flat size-4 start: sumtroid changes -3,-1,0,1,3 with masses 1/6,1/6,1/3,1/6,1/6",
+        ("prob.flat4-finals",),
+    ),
+    4: (
+        "row support is |K| <= (n-1)(n-2)/2 with zeros exactly on one residue mod n, n <= 10",
+        ("prob.zero-pattern",),
+    ),
+    5: (
+        "window recurrence rebuilds rows 4..10, including the worked sums 0+1+2+1=4 and 1+2+4+4+0=11",
+        ("window.worked-sums", "window.recurrence"),
+    ),
+    6: (
+        "tree counts R(n,l,x) equal scaled row values at the mapped sumtroid, sizes 3..9",
+        ("bridge.coordinates-roundtrip", "bridge.tree-counts-equal-row"),
+    ),
+    7: (
+        "every clusteron of size 2..6 reaches the full shadow family, except 12 and 21 reach one each",
+        ("finals.family-coverage", "finals.merge-shadows", "states.forced-chain"),
+    ),
+    8: (
+        "predicted flat final placements match exploration for sizes 1..7; count is (n-3)(n-1)+2 from size 5",
+        ("finals.flat-placements", "finals.sumtroid-determines"),
+    ),
+    9: (
+        "locked-in equals spacious on flat graphs to size 7; entropy rises on every edge; no crowded isolated room emerges",
+        (
+            "locked.spacious-equivalence",
+            "locked.gap-classes",
+            "locked.gap-decrease-bound",
+            "locked.no-crowded-isolated-room",
+            "states.entropy-increase",
+        ),
+    ),
+    10: (
+        "suite encoding is an isomorphism of move graphs for flat sizes 2..6, with the size-4 trees matching node for node",
+        ("suites.codec", "suites.move-correspondence", "states.parse-roundtrip"),
+    ),
+    11: (
+        "tree table to size 9: recursion, margins, leaf totals, reading bijection, and descent tallies all agree",
+        (
+            "trees.recursion-vs-bruteforce",
+            "trees.column-sums",
+            "trees.root-leaf-split",
+            "trees.leaf-totals",
+            "trees.eulerian-column",
+            "perms.stat-examples",
+            "perms.tree-bijection",
+            "perms.count-identities",
+        ),
+    ),
+    12: (
+        "flat starts to size 7: displacement is bounded by n-1 and the extreme policies attain it",
+        ("states.displacement-bound", "states.labeled-pushing"),
+    ),
+}
 
 
 @pytest.fixture
@@ -64,213 +89,66 @@ def announce(capsys):
     return _announce
 
 
-def test_01_scaled_rows_match_the_frozen_tables(announce, rows):
-    golden = golden_scaled_rows()
-    ok = all(
-        json.dumps(rows[n].half_sequence()) == json.dumps(golden[n])
-        for n in range(3, 10)
-    )
-    announce(1, "exact scaled rows for sizes 3..9 equal the frozen tables", ok)
-    for n in range(3, 10):
-        assert rows[n].half_sequence() == golden[n], f"row {n} deviates"
-        rows[n].check_symmetry()
-    assert rows[9].half_sequence()[-4:] == [2336, 2416, 2416, 0]
+@pytest.fixture
+def criterion(announce, verify_context):
+    """Run one criterion's checks at default budgets and print its verdict."""
+
+    def _criterion(num):
+        label, ids = CRITERIA[num]
+        results = run_checks(ids, verify_context)
+        failed = [(r.check_id, r.detail) for r in results if r.status != "pass"]
+        announce(num, label, not failed)
+        assert not failed
+
+    return _criterion
 
 
-def test_02_every_final_shadow_is_equally_likely(announce):
-    ok = True
-    for n in range(2, 11):
-        probs = shadow_probabilities(n)
-        ok &= set(probs) == set(range(1, n))
-        ok &= all(p == Fraction(1, n - 1) for p in probs.values())
-    announce(2, "each of the n-1 final shadows has exact probability 1/(n-1), n <= 10", ok)
-    assert ok
+def test_01_scaled_rows_match_the_frozen_tables(criterion):
+    criterion(1)
 
 
-def test_03_flat_four_lands_in_five_placements_with_known_masses(announce, flat_graphs):
-    from dispersion import final_distribution
-
-    dist = final_distribution(parse_state("0001111000"))
-    expected = {int(f["sumtroid"]): Fraction(f["mass"]) for f in golden_flat4_finals()}
-    ok = dist.mass == expected
-    golden = {int(f["sumtroid"]): f for f in golden_flat4_finals()}
-    k0 = sumtroid(flat_clusteron(4))
-    finals = {sumtroid(f) - k0: f for f in flat_graphs[4].finals}
-    ok &= set(golden) == set(finals)
-    announce(3, "flat size-4 start: sumtroid changes -3,-1,0,1,3 with masses 1/6,1/6,1/3,1/6,1/6", ok)
-    assert dist.mass == expected
-    for delta, entry in golden.items():
-        f = finals[delta]
-        assert f.pattern() == entry["pattern"]
-        assert f.offset == int(entry["leftmost"])
-        assert placement_of(f).shadow_id.k == int(entry["shadow_k"])
-    assert sorted(dist.mass.values()) == [Fraction(1, 6)] * 4 + [Fraction(1, 3)]
+def test_02_every_final_shadow_is_equally_likely(criterion):
+    criterion(2)
 
 
-def test_04_row_support_and_zero_residues(announce, rows):
-    reports = {n: zero_pattern_check(rows[n]) for n in range(3, 11)}
-    reports[2] = zero_pattern_check(scaled_row(2))
-    ok = all(r.ok for r in reports.values())
-    announce(4, "row support is |K| <= (n-1)(n-2)/2 with zeros exactly on one residue mod n, n <= 10", ok)
-    for n, rep in sorted(reports.items()):
-        assert rep.ok, f"size {n}: {rep}"
+def test_03_flat_four_lands_in_five_placements_with_known_masses(criterion):
+    criterion(3)
 
 
-def test_05_each_row_is_a_sliding_window_sum_of_the_previous(announce, rows):
-    ok = all(
-        window_recurrence_step(rows[n - 1]).values == rows[n].values
-        for n in range(4, 11)
-    )
-    ok &= window_bounds(5, -1) == (-2, 1)
-    ok &= sum(rows[4].value(k) for k in range(-2, 2)) == 4 == rows[5].value(-1)
-    ok &= window_bounds(6, -2) == (-4, 0)
-    ok &= sum(rows[5].value(k) for k in range(-4, 1)) == 11 == rows[6].value(-2)
-    announce(5, "window recurrence rebuilds rows 4..10, including the worked sums 0+1+2+1=4 and 1+2+4+4+0=11", ok)
-    assert ok
+def test_04_row_support_and_zero_residues(criterion):
+    criterion(4)
 
 
-def test_06_tree_counts_equal_row_values_under_the_coordinate_map(announce, rows):
-    ok = True
-    for n in range(3, 10):
-        table = r_table_bruteforce(n)
-        row = rows[n]
-        for ell in range(1, n + 1):
-            for x in range(1, n):
-                r = table.value(ell, x)
-                if 2 <= ell <= n - 1:
-                    ok &= row.value(lx_to_sumtroid(n, ell, x)) == r
-                else:
-                    ok &= r == 0
-    announce(6, "tree counts R(n,l,x) equal scaled row values at the mapped sumtroid, sizes 3..9", ok)
-    assert ok
+def test_05_each_row_is_a_sliding_window_sum_of_the_previous(criterion):
+    criterion(5)
 
 
-def test_07_every_starting_clusteron_reaches_the_whole_shadow_family(announce):
-    ok = True
-    details = []
-    for n in range(2, 7):
-        for parts in compositions(n):
-            start = clusteron(parts)
-            if len(parts) == 1 and max(parts) > 1:
-                ok &= available_moves(start) == ()
-                continue
-            reached = final_shadow_set(start)
-            if parts == (1, 2):
-                expected = frozenset({FinalShadowId(3, 1)})
-            elif parts == (2, 1):
-                expected = frozenset({FinalShadowId(3, 2)})
-            else:
-                expected = final_shadow_family(n)
-            if reached != expected:
-                ok = False
-                details.append((parts, reached))
-    announce(7, "every clusteron of size 2..6 reaches the full shadow family, except 12 and 21 reach one each", ok)
-    assert ok, details
+def test_06_tree_counts_equal_row_values_under_the_coordinate_map(criterion):
+    criterion(6)
 
 
-def test_08_the_final_placements_of_flat_starts(announce, flat_graphs):
-    ok = True
-    for n in range(1, 8):
-        predicted = flat_final_placements(n)
-        if n == 1:
-            ok &= flat_graphs[1].finals == (flat_clusteron(1),)
-            ok &= predicted == frozenset()
-            continue
-        observed = frozenset(placement_of(f) for f in flat_graphs[n].finals)
-        ok &= predicted == observed
-    ok &= all(
-        len(flat_final_placements(n)) == (n - 3) * (n - 1) + 2 for n in range(5, 10)
-    )
-    announce(8, "predicted flat final placements match exploration for sizes 1..7; count is (n-3)(n-1)+2 from size 5", ok)
-    assert ok
+def test_07_every_starting_clusteron_reaches_the_whole_shadow_family(criterion):
+    criterion(7)
 
 
-def test_09_locked_in_is_spacious_and_entropy_always_rises(announce, flat_graphs):
-    ok = True
-    for n in range(2, 8):
-        rep = verify_locked_in_equivalence(flat_clusteron(n))
-        ok &= rep.ok
-    edges = 0
-    for n in range(1, 8):
-        g = flat_graphs[n]
-        for s in g.nodes:
-            for _, t in g.edges[s]:
-                edges += 1
-                ok &= entropy(t) > entropy(s)
-    crowded_ok = True
-    for n in range(2, 7):
-        for parts in compositions(n):
-            g = explore(clusteron(parts))
-            crowded_ok &= not any(
-                has_crowded_isolated_room(s) for s in g.nodes if s != g.initial
-            )
-    ok &= crowded_ok
-    announce(9, "locked-in equals spacious on flat graphs to size 7; entropy rises on every edge; no crowded isolated room emerges", ok)
-    assert ok and edges > 0
+def test_08_the_final_placements_of_flat_starts(criterion):
+    criterion(8)
 
 
-def test_10_suite_encoding_is_a_move_graph_isomorphism(announce):
-    ok = True
-    for n in range(2, 7):
-        rep = verify_move_correspondence(flat_clusteron(n))
-        ok &= rep.ok and rep.room_nodes == rep.suite_nodes
-    chain = ["1111", "100111@-1", "1011001@-1", "1100101@-1", "10010101@-2"]
-    for a, b in zip(chain, chain[1:]):
-        s, t = parse_state(a), parse_state(b)
-        assert any(apply_move(s, m) == t for m in available_moves(s))
-    suite_cells = [to_suites(parse_state(p)).cells for p in chain]
-    ok &= suite_cells == [
-        (4,),
-        (1, 0, 3),
-        (1, 2, 0, 1),
-        (2, 0, 1, 1),
-        (1, 0, 1, 1, 1),
-    ]
-    first_moves = {
-        to_suites(apply_move(flat_clusteron(4), m)).cells
-        for m in available_moves(flat_clusteron(4))
-    }
-    ok &= first_moves == {(1, 0, 3), (2, 0, 2), (3, 0, 1)}
-    announce(10, "suite encoding is an isomorphism of move graphs for flat sizes 2..6, with the size-4 trees matching node for node", ok)
-    assert ok
+def test_09_locked_in_is_spacious_and_entropy_always_rises(criterion):
+    criterion(9)
 
 
-def test_11_tree_table_and_permutation_statistics(announce):
-    ok = True
-    for n in range(2, 10):
-        brute = r_table_bruteforce(n)
-        ok &= r_table_recursive(n).r == brute.r
-        for x in range(1, n):
-            ok &= sum(brute.value(ell, x) for ell in range(1, n + 1)) == math.factorial(
-                n - 2
-            )
-    ok &= all(ab_identities_check(n).ok for n in range(3, 10))
-    ok &= t_values(5) == {2: 8, 3: 14, 4: 2}
-    for n in range(2, 10):
-        for t in enumerate_trees(n):
-            word = tree_to_perm(t)
-            ok &= perm_to_tree(word) == t
-            ts, ps = tree_stats(t), perm_stats(word)
-            ok &= ps.special_descents == ts.leaves - 1 and ps.last == ts.path_end
-    ok &= all(perm_count_checks(n).ok for n in range(3, 10))
-    ok &= all(eulerian_check(n).ok for n in range(3, 10))
-    ok &= [r_table_recursive(5).value(ell, 1) for ell in range(2, 5)] == [1, 4, 1]
-    announce(11, "tree table to size 9: recursion, margins, leaf totals, reading bijection, and descent tallies all agree", ok)
-    assert ok
+def test_10_suite_encoding_is_a_move_graph_isomorphism(criterion):
+    criterion(10)
 
 
-def test_12_no_occupant_ever_moves_more_than_n_minus_one_rooms(announce):
-    ok = all(max_displacement(n) == n - 1 for n in range(2, 8))
-    attained = True
-    for n in range(2, 8):
-        start = flat_clusteron(n)
-        left_final = run_policy(start, "leftmost")[-1]
-        right_final = run_policy(start, "rightmost")[-1]
-        attained &= displacements(left_final, start)[-1] == n - 1
-        attained &= displacements(right_final, start)[0] == -(n - 1)
-    ok &= attained
-    announce(12, "flat starts to size 7: displacement is bounded by n-1 and the extreme policies attain it", ok)
-    assert ok
+def test_11_tree_table_and_permutation_statistics(criterion):
+    criterion(11)
+
+
+def test_12_no_occupant_ever_moves_more_than_n_minus_one_rooms(criterion):
+    criterion(12)
 
 
 def test_13_a_million_seeded_samples_land_within_three_standard_errors(announce):

@@ -170,6 +170,8 @@ def test_usage_errors_exit_two(capsys):
         ["no-such-command"],
         ["run", "--state", "12", "--policy", "sideways"],
         ["prob", "--n", "0", "--scaled"],
+        ["verify", "--seed", "99", "--cache-dir", "/nonexistent"],
+        ["moves", "--state", "\u0661\u0661"],
     ):
         assert cli.main(argv) == 2
         capsys.readouterr()

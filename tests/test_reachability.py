@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 
 from dispersion import (
     BudgetExceededError,
+    DomainError,
     FinalShadowId,
+    Move,
     TheoremViolationError,
     apply_move,
     available_moves,
@@ -131,6 +133,13 @@ def test_gap_deltas_are_limited_to_three_classes(s):
         delta = gap_delta_class(s, m)
         assert delta in (-1, 0, 1)
         assert len(gaps(apply_move(s, m))) - len(gaps(s)) == delta
+
+
+def test_gap_classes_reject_unavailable_moves():
+    s = parse_state("1011")
+    for m in (Move(0, 1, 1), Move(2, 5, 1), Move(9, 1, 1)):
+        with pytest.raises(DomainError):
+            gap_delta_class(s, m)
 
 
 def test_gap_decreases_start_at_move_three():

@@ -52,7 +52,9 @@ def test_parse_state_trims_empty_border_rooms():
     assert parse_state("1011@-1").text() == "1011@-1"
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "000", "1x1", "@3", "11@"])
+@pytest.mark.parametrize(
+    "bad", ["", "abc", "000", "1x1", "@3", "11@", "\u0661\u0661", "1\u0661@-\u0662"]
+)
 def test_malformed_patterns_are_rejected(bad):
     with pytest.raises(MalformedStateError):
         parse_state(bad)

@@ -53,6 +53,8 @@ def test_suite_windows_must_end_in_blocks():
         parse_suite_state("0")
     with pytest.raises(MalformedStateError):
         SuiteState(0, (1, 2, 0))
+    with pytest.raises(MalformedStateError):
+        parse_suite_state("\u0662")
 
 
 @given(single_states)
