@@ -7,7 +7,6 @@ final placements of flat starts, and shows the locked-in criterion.
 """
 from dispersion import (
     clusteron,
-    explore,
     final_shadow_family,
     final_shadow_set,
     flat_clusteron,

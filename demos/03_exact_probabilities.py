@@ -13,7 +13,6 @@ from dispersion import (
     final_distribution,
     flat_clusteron,
     monte_carlo,
-    row_half_width,
     scaled_row,
     shadow_probabilities,
     sumtroid_to_lx,
@@ -29,7 +28,8 @@ def main() -> None:
     print()
 
     print("shadow probabilities are uniform (here n = 7, all 1/6):")
-    print("  " + ", ".join(f"F(7,{k}): {p}" for k, p in shadow_probabilities(7).items()))
+    shadows = shadow_probabilities(scaled_row(7))
+    print("  " + ", ".join(f"F(7,{k}): {p}" for k, p in shadows.items()))
     print()
 
     print("integer rows: probabilities times (n-1)!, sizes 3..7")

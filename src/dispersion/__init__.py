@@ -64,7 +64,6 @@ from .reachability import (
     final_shadow_set,
     flat_final_placements,
     gap_delta_class,
-    is_locked_in,
     is_spacious,
     locked_in_map,
     max_displacement,
@@ -121,7 +120,6 @@ from .verify import (
     RunConfig,
     VerifyReport,
     compositions,
-    config_with_max_n,
     golden_flat4_finals,
     golden_scaled_rows,
     run_suites,

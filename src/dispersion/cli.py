@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import (
     BudgetExceededError,
@@ -25,7 +24,6 @@ from .probability import (
     row_to_csv,
     row_to_json,
     scaled_row,
-    shadow_of_sumtroid,
     zero_residue,
 )
 from .reachability import (
@@ -37,7 +35,7 @@ from .reachability import (
 )
 from .states import available_moves, parse_state, sumtroid
 from .trees import RTable, r_table_bruteforce, r_table_recursive
-from .verify import config_with_max_n, reports_to_json, reports_to_text, run_suites, SUITES
+from .verify import RunConfig, reports_to_json, reports_to_text, run_suites, SUITES
 
 USAGE_EXIT = 2
 BUDGET_EXIT = 3
@@ -238,7 +236,7 @@ def cmd_perms(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = config_with_max_n(args.max_n, node_budget=args.node_budget)
+    cfg = RunConfig(max_n=args.max_n, node_budget=args.node_budget)
     reports = run_suites(cfg, args.suite or None)
     text = reports_to_json(reports) if args.format == "json" else reports_to_text(reports)
     _write(args, text)

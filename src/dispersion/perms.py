@@ -8,7 +8,6 @@ table into permutation tallies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator, NamedTuple
 
@@ -76,6 +75,8 @@ def perm_to_tree(word: tuple[int, ...]) -> RecursiveTree:
 
 def perms_of(n: int) -> Iterator[tuple[int, ...]]:
     """All permutations of 1..n in lexicographic order."""
+    if n < 1:
+        raise DomainError(f"permutations need n >= 1, got {n}")
     return permutations(range(1, n + 1))
 
 
@@ -95,42 +96,6 @@ def sign_involution(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(swap[v] for v in word)
 
 
-def special_last_tally(n: int) -> dict[Cell, int]:
-    """Count permutations of 1..n by (special descents + 1, last value).
-
-    Keyed to match the tree table of size n+1: special descents are one
-    less than the leaf count.
-    """
-    out: dict[Cell, int] = {}
-    for word in perms_of(n):
-        st = perm_stats(word)
-        cell = (st.special_descents + 1, st.last)
-        out[cell] = out.get(cell, 0) + 1
-    return out
-
-
-@dataclass(frozen=True)
-class PermCheckReport:
-    """Equalities between permutation tallies and the size-n tree table.
-
-    (a) special descents l-1 and last value x over 1..n-1 count the
-        (l, x) trees;
-    (b) plain descents l-1 and last value x-1 do too, for x >= 2;
-    (c) permutations of 1..n starting with 2, with descents l-1, ending
-        in x+1 (or in 1 when x = 1) count the (l, x) trees;
-    (d) the value relabeling is an involution on permutations of 1..n-1
-        sending the (l, 1) class to (n+1-l, 2), the (l, 2) class to
-        (n+1-l, 1), and (l, x) to (n-l, n+2-x) for x > 2.
-    """
-
-    n: int
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
 def _involution_image(n: int, cell: Cell) -> Cell:
     leaves, x = cell
     if x == 1:
@@ -142,8 +107,21 @@ def _involution_image(n: int, cell: Cell) -> Cell:
 
 def perm_count_checks(
     n: int, *, table: Callable[[int], RTable] | None = None
-) -> PermCheckReport:
-    """``table`` builds brute-force tables by size (default: enumerate)."""
+) -> tuple[str, ...]:
+    """Equalities between permutation tallies and the size-n tree table.
+
+    (a) special descents l-1 and last value x over 1..n-1 count the
+        (l, x) trees;
+    (b) plain descents l-1 and last value x-1 do too, for x >= 2;
+    (c) permutations of 1..n starting with 2, with descents l-1, ending
+        in x+1 (or in 1 when x = 1) count the (l, x) trees;
+    (d) the value relabeling is an involution on permutations of 1..n-1
+        sending the (l, 1) class to (n+1-l, 2), the (l, 2) class to
+        (n+1-l, 1), and (l, x) to (n-l, n+2-x) for x > 2.
+
+    ``table`` builds brute-force tables by size (default: enumerate).
+    Returns the failed equalities; empty when all hold.
+    """
     if n < 3:
         raise DomainError("the tally checks need n >= 3")
     tree_table = (table or r_table_bruteforce)(n)
@@ -187,7 +165,7 @@ def perm_count_checks(
             target = 1 if x == 1 else x + 1
             if start_two.get((leaves, target), 0) != r:
                 bad.append(f"start-with-2 tally differs at {(leaves, x)}")
-    return PermCheckReport(n, tuple(bad))
+    return tuple(bad)
 
 
 def roundtrip_check(n: int) -> bool:

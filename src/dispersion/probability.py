@@ -151,24 +151,32 @@ def final_distribution(
     """Distribution of the final sumtroid change under uniform play.
 
     Flat clusterons use the mask fast path; any other start falls back
-    to explicit exploration ordered by entropy, which is a topological
-    order of the move graph.
+    to explicit exploration ordered by entropy.
     """
     n = initial.total
     if initial.occupancy == (1,) * n:
         mass = _flat_mask_distribution(n, node_budget)
-        dist = SumtroidDistribution(n, mass)
-        dist.check_total()
-        return dist
+    else:
+        mass = _graph_distribution(initial, node_budget)
+    dist = SumtroidDistribution(n, mass)
+    dist.check_total()
+    return dist
+
+
+def _graph_distribution(
+    initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET
+) -> dict[int, Fraction]:
+    """Sumtroid change -> probability, pushed forward over the explored graph.
+
+    Entropy order is a topological order of the move graph, so every
+    state after the start has its pending mass by the time it is popped.
+    """
     g = explore(initial, node_budget)
     k0 = sumtroid(initial)
-    order = sorted(g.nodes, key=entropy)
     pending: dict[RoomState, Fraction] = {initial: Fraction(1)}
     mass: dict[int, Fraction] = {}
-    for s in order:
-        p = pending.pop(s, None)
-        if p is None:  # unreachable duplicates cannot occur, defensive
-            continue
+    for s in sorted(g.nodes, key=entropy):
+        p = pending.pop(s)
         edges = g.edges[s]
         if not edges:
             k = sumtroid(s) - k0
@@ -177,9 +185,7 @@ def final_distribution(
         share = p / len(edges)
         for _, t in edges:
             pending[t] = pending.get(t, Fraction(0)) + share
-    dist = SumtroidDistribution(n, mass)
-    dist.check_total()
-    return dist
+    return mass
 
 
 @dataclass(frozen=True)
@@ -254,34 +260,26 @@ def scaled_row(
     return row
 
 
-def shadow_probabilities(
-    n: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> dict[int, Fraction]:
+def shadow_probabilities(row: ScaledRow) -> dict[int, Fraction]:
     """Exact probability of finishing in each final shadow F(n, k).
 
     Final states with the same sumtroid residue mod n share a shadow,
-    so the distribution is grouped by residue.
+    so the row's cells are grouped by residue and unscaled by (n-1)!.
     """
-    dist = final_distribution(flat_clusteron(n), node_budget)
+    n = row.n
+    scale = factorial(n - 1)
     out = {k: Fraction(0) for k in range(1, n)}
-    for k, p in dist.mass.items():
-        if p:
-            out[shadow_of_sumtroid(n, k)] += p
+    for k, v in row.values.items():
+        if v:
+            out[shadow_of_sumtroid(n, k)] += Fraction(v, scale)
     return out
 
 
-@dataclass(frozen=True)
-class ZeroPatternReport:
-    n: int
-    mismatches: tuple[str, ...]
+def zero_pattern_check(row: ScaledRow) -> tuple[str, ...]:
+    """Zeros sit exactly on the residue class of zero_residue(n).
 
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def zero_pattern_check(row: ScaledRow) -> ZeroPatternReport:
-    """Zeros sit exactly on the residue class of zero_residue(n)."""
+    Returns one line per cell that breaks the rule; empty when it holds.
+    """
     n = row.n
     res = zero_residue(n)
     w = row_half_width(n)
@@ -292,7 +290,7 @@ def zero_pattern_check(row: ScaledRow) -> ZeroPatternReport:
             bad.append(f"k={k}: expected 0, got {row.values[k]}")
         if not expected_zero and row.values[k] <= 0:
             bad.append(f"k={k}: expected positive, got {row.values[k]}")
-    return ZeroPatternReport(n, tuple(bad))
+    return tuple(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +393,10 @@ def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
     Per-sample seeding makes shards independent of evaluation order: any
     partition of the index range gives the same totals.
     """
+    if n < 1:
+        raise DomainError(f"sampling needs n >= 1, got {n}")
+    if samples < 0:
+        raise DomainError(f"sample count must be >= 0, got {samples}")
     counts: dict[int, int] = {}
     for i in range(samples):
         rng = random.Random(seed * 1_000_003 + i)

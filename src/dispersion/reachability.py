@@ -23,10 +23,8 @@ from .states import (
     centered_sumtroid,
     classify_final_shadow,
     entropy,
-    final_shadow_family,
     flat_clusteron,
     gaps,
-    is_final,
     shadow,
     sumtroid,
     validate_move,
@@ -51,9 +49,6 @@ class ReachGraph:
 
     def __contains__(self, s: RoomState) -> bool:
         return s in self.edges
-
-    def successors(self, s: RoomState) -> tuple[RoomState, ...]:
-        return tuple(t for _, t in self.edges[s])
 
     def depths(self) -> dict[RoomState, int]:
         """Minimum number of moves from the initial state to each node."""
@@ -199,22 +194,6 @@ def locked_in_map(g: ReachGraph) -> dict[RoomState, bool]:
             sumtroid(t) == k and locked[t] for _, t in g.edges[s]
         )
     return locked
-
-
-def is_locked_in(g: ReachGraph, s: RoomState) -> bool:
-    """True when every state reachable from s has the same sumtroid."""
-    k = sumtroid(s)
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for _, t in g.edges[u]:
-            if sumtroid(t) != k:
-                return False
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return True
 
 
 @dataclass(frozen=True)
@@ -367,7 +346,6 @@ def run_policy(
     initial: RoomState,
     policy: str = "leftmost",
     seed: int | None = None,
-    max_steps: int | None = None,
 ) -> list[RoomState]:
     """Play moves to a final state; returns the full trajectory.
 
@@ -378,19 +356,14 @@ def run_policy(
         raise DomainError(f"unknown policy {policy!r}")
     rng = random.Random(seed)
     path = [initial]
-    s = initial
-    while max_steps is None or len(path) <= max_steps:
-        moves = available_moves(s)
-        if not moves:
-            break
+    while moves := available_moves(path[-1]):
         if policy == "leftmost":
             m = moves[0]
         elif policy == "rightmost":
             m = moves[-1]
         else:
             m = moves[rng.randrange(len(moves))]
-        s = apply_move(s, m)
-        path.append(s)
+        path.append(apply_move(path[-1], m))
     return path
 
 

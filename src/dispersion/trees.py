@@ -150,27 +150,17 @@ def r_table_recursive(n: int) -> RTable:
     return RTable(n, prev)
 
 
-@dataclass(frozen=True)
-class AbReport:
-    """Cell-wise check of the root-leaf split identities.
+def ab_identities_check(
+    n: int, *, table: Callable[[int], RTable] | None = None
+) -> tuple[str, ...]:
+    """Cell-wise check of the root-leaf split identities at size n.
 
     Checked: a + b = r; b(n, l, 1) = 0; b(n, l, x) equals
     a(n-1, l-1, x-1) + b(n-1, l, x-1); a(n, l, 1) equals the row sum of
-    b(n, l, x) over x >= 2.
+    b(n, l, x) over x >= 2.  ``table`` builds brute-force tables by size
+    (default: enumerate).  Returns the failed identities; empty when all
+    hold.
     """
-
-    n: int
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def ab_identities_check(
-    n: int, *, table: Callable[[int], RTable] | None = None
-) -> AbReport:
-    """``table`` builds brute-force tables by size (default: enumerate)."""
     if n < 3:
         raise DomainError("the split identities need n >= 3")
     table = table or r_table_bruteforce
@@ -194,7 +184,7 @@ def ab_identities_check(
             )
             if lhs != rhs:
                 bad.append(f"b({n},{leaves},{x}) != a+b of previous size")
-    return AbReport(n, tuple(bad))
+    return tuple(bad)
 
 
 def t_values(n: int) -> dict[int, int]:
@@ -222,32 +212,22 @@ def eulerian_triangle(n: int) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class EulerianReport:
+def eulerian_check(
+    n: int, *, table: Callable[[int], RTable] | None = None
+) -> tuple[str, ...]:
     """Checks on the x = 1 column of the tree table.
 
     Checked against brute force for sizes 3..n: the column recursion
     r(m, l, 1) = (l-1) r(m-1, l, 1) + (m-l) r(m-1, l-1, 1), and the
-    alignment r(m, l, 1) = Eulerian(m-2, l-2).
+    alignment r(m, l, 1) = Eulerian(m-2, l-2).  ``table`` builds
+    brute-force tables by size (default: enumerate).  Returns the failed
+    cells; empty when the column obeys both.
 
     The recursion counts where the largest vertex was attached: onto
     one of the l-1 leaves other than vertex 1 (leaf count unchanged)
     or onto one of the m-l non-leaves of a table cell with one leaf
     fewer.  It is the classical Eulerian recurrence reindexed.
     """
-
-    n: int
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def eulerian_check(
-    n: int, *, table: Callable[[int], RTable] | None = None
-) -> EulerianReport:
-    """``table`` builds brute-force tables by size (default: enumerate)."""
     if n < 3:
         raise DomainError("the column checks need n >= 3")
     tables = {m: (table or r_table_bruteforce)(m) for m in range(2, n + 1)}
@@ -265,7 +245,7 @@ def eulerian_check(
             eul = row[leaves - 2] if 0 <= leaves - 2 < len(row) else 0
             if got != eul:
                 bad.append(f"Eulerian alignment fails at ({m},{leaves},1)")
-    return EulerianReport(n, tuple(bad))
+    return tuple(bad)
 
 
 def total_trees(n: int) -> int:

@@ -143,6 +143,13 @@ def test_verify_subcommand_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_verify_runs_at_every_small_max_n(capsys, k):
+    code, out = run_cli(capsys, "verify", "--max-n", str(k))
+    assert code == 0, out
+    assert "33 checks: 33 passed" in out
+
+
 def test_verify_json_format(capsys):
     code, out = run_cli(
         capsys, "verify", "--suite", "window", "--max-n", "5", "--format", "json"
@@ -172,9 +179,14 @@ def test_usage_errors_exit_two(capsys):
         ["prob", "--n", "0", "--scaled"],
         ["verify", "--seed", "99", "--cache-dir", "/nonexistent"],
         ["moves", "--state", "\u0661\u0661"],
+        ["mc", "--n", "0"],
+        ["mc", "--n", "-3"],
+        ["mc", "--n", "2", "--samples", "-5"],
+        ["perms", "--n", "0"],
+        ["perms", "--n", "-1"],
     ):
-        assert cli.main(argv) == 2
-        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_budget_errors_exit_three(capsys):

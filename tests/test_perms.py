@@ -15,8 +15,6 @@ from dispersion import (
     tree_stats,
     tree_to_perm,
 )
-from dispersion.perms import special_last_tally
-from dispersion.trees import r_table_bruteforce
 
 perm_words = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -89,17 +87,10 @@ def test_sign_involution_on_small_words():
         sign_involution((1,))
 
 
-def test_special_descent_tally_matches_the_tree_table():
-    for n in range(2, 7):
-        tally = special_last_tally(n)
-        table = r_table_bruteforce(n + 1)
-        assert tally == table.r
-
-
 @pytest.mark.parametrize("n", range(3, 8))
 def test_all_count_identities(n):
-    rep = perm_count_checks(n)
-    assert rep.ok, rep
+    bad = perm_count_checks(n)
+    assert bad == (), bad
 
 
 def test_perm_enumeration_is_complete():

@@ -22,8 +22,8 @@ from dispersion import (
     gap_delta_class,
     gaps,
     is_final,
-    is_locked_in,
     is_spacious,
+    locked_in_map,
     max_displacement,
     merge_shadows_check,
     parse_state,
@@ -105,15 +105,17 @@ def test_locked_in_equals_spacious_everywhere(n, flat_graphs):
     rep = verify_locked_in_equivalence(flat_clusteron(n))
     assert rep.ok, rep.mismatches
     g = flat_graphs[n]
+    locked = locked_in_map(g)
     for f in g.finals:
-        assert is_locked_in(g, f)
-    assert not is_locked_in(g, g.initial) or n <= 2
+        assert locked[f]
+    assert not locked[g.initial] or n <= 2
 
 
 def test_locked_in_states_keep_their_sumtroid(flat_graphs):
     g = flat_graphs[5]
+    locked = locked_in_map(g)
     for s in g.nodes:
-        if not is_locked_in(g, s):
+        if not locked[s]:
             continue
         k = sumtroid(s)
         stack = [s]

@@ -2,8 +2,9 @@
 from collections import Counter
 from dataclasses import replace
 
-from dispersion import verify
-from dispersion.verify import CHECKS, DEFAULT_MAX_N, SUITES, run_suites
+from dispersion import probability, verify
+from dispersion.probability import CACHE_ENV_VAR
+from dispersion.verify import CHECKS, DEFAULT_MAX_N, SUITES, RunContext, run_suite, run_suites
 
 from test_acceptance import CRITERIA
 
@@ -73,3 +74,21 @@ def test_default_budgets_are_frozen():
         "perms": 9,
         "bridge": 9,
     }
+
+
+def test_probability_suite_builds_each_flat_row_once(monkeypatch):
+    # rows and uniform shadows share the run's memo: one exact DP per size
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    calls = Counter()
+    real = probability.final_distribution
+
+    def counted(initial, *args, **kwargs):
+        if initial.occupancy == (1,) * initial.total:
+            calls[initial.total] += 1
+        return real(initial, *args, **kwargs)
+
+    monkeypatch.setattr(probability, "final_distribution", counted)
+    ctx = RunContext()
+    report = run_suite("probability", ctx.cfg, ctx)
+    assert report.ok, report
+    assert calls == Counter({n: 1 for n in range(2, DEFAULT_MAX_N["probability"] + 1)})
