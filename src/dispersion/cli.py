@@ -24,7 +24,7 @@ from .probability import (
     row_to_csv,
     row_to_json,
     scaled_row,
-    zero_residue,
+    shadow_of_sumtroid,
 )
 from .reachability import (
     DEFAULT_NODE_BUDGET,
@@ -33,7 +33,7 @@ from .reachability import (
     placement_of,
     run_policy,
 )
-from .states import available_moves, parse_state, sumtroid
+from .states import available_moves, flat_clusteron, parse_state, sumtroid
 from .trees import RTable, r_table_bruteforce, r_table_recursive
 from .verify import RunConfig, reports_to_json, reports_to_text, run_suites, SUITES
 
@@ -140,8 +140,6 @@ def cmd_prob(args: argparse.Namespace) -> int:
     if args.scaled:
         row = scaled_row(args.n, cache_dir=args.cache_dir, node_budget=args.node_budget)
     else:
-        from .states import flat_clusteron
-
         row = final_distribution(flat_clusteron(args.n), args.node_budget)
     if args.format == "csv":
         _write(args, row_to_csv(row))
@@ -152,10 +150,10 @@ def cmd_prob(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     counts = monte_carlo_counts(args.n, args.samples, args.seed)
-    res = zero_residue(args.n)
     shadows: dict[int, int] = {}
     for k, c in counts.items():
-        shadows[(res - k) % args.n] = shadows.get((res - k) % args.n, 0) + c
+        shadow_k = shadow_of_sumtroid(args.n, k)
+        shadows[shadow_k] = shadows.get(shadow_k, 0) + c
     if args.format == "csv":
         lines = ["K,count"] + [f"{k},{c}" for k, c in counts.items()]
         _write(args, "\n".join(lines) + "\n")
@@ -207,6 +205,9 @@ def cmd_rtable(args: argparse.Namespace) -> int:
 def cmd_perms(args: argparse.Namespace) -> int:
     if args.n > 10:
         raise BudgetExceededError(args.n, "permutation listing is capped at n=10")
+    for flag, value in (("--last", args.last), ("--first", args.first)):
+        if value is not None and not 1 <= value <= args.n:
+            raise DomainError(f"{flag} must be in 1..{args.n}, got {value}")
     tally: dict[int, int] = {}
     for word in perms_of(args.n):
         st = perm_stats(word)

@@ -4,9 +4,10 @@ Moves are drawn uniformly at random among the available ones.  The
 distribution over final centered sumtroids is computed exactly with
 rational arithmetic: no float enters any published number.
 
-Flat starts get a fast path: a single-occupancy state is a bit mask,
-and because entropy is the mask value itself, processing masks in
-increasing numeric order is a topological order of the move graph.
+One engine serves every start: a state is one integer holding room j's
+count in bits b*j .. b*j+b-1 (a bit mask when b = 1).  A move adds
+B^l + B^r and removes B^i + B^(i+1) with r >= i+2 and B = 2^b >= 2, so
+increasing key order is a topological order of the move graph.
 """
 from __future__ import annotations
 
@@ -15,19 +16,15 @@ import hashlib
 import heapq
 import io
 import json
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import NamedTuple
 
-from .errors import BudgetExceededError, DomainError, TheoremViolationError
+from .errors import BudgetExceededError, DomainError, InvariantViolationError, TheoremViolationError
 from .reachability import DEFAULT_NODE_BUDGET, explore
-from .states import RoomState, entropy, flat_clusteron, sumtroid
-
-CACHE_ENV_VAR = "DISPERSION_CACHE_DIR"
+from .states import RoomState, entropy, flat_clusteron, state_from_positions, sumtroid
 
 
 def row_half_width(n: int) -> int:
@@ -49,73 +46,42 @@ def shadow_of_sumtroid(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# mask engine: single-occupancy states as bit masks
+# packed-count engine: room floor+j holds its count in bits b*j .. b*j+b-1
+
+# Spare rooms per occupant on each side of the start.  Over all 510 compositions
+# of 2..9 the widest excursion is 12 rooms: (8, 1) leftwards, (7, 2) rightwards.
+_MARGIN = 2
 
 
-def _mask_successors(mask: int) -> list[int]:
-    """One mask per available move; bit j is room floor+j for any floor."""
+def _packed_successors(key: int, b: int, digits: int) -> list[int]:
+    """One key per available move, for a state clear of the window's ends.
+
+    ``digits`` sets the low bit of every field in the window.  Move
+    targets are empty rooms, so no count ever outgrows its b bits.
+    """
+    occ = key
+    for t in range(1, b):
+        occ |= key >> t
+    occ &= digits
+    empty = digits ^ occ
+    pairs = occ & (occ >> b)
     out = []
-    pairs = mask & (mask >> 1)
     while pairs:
         low = pairs & -pairs
-        j = low.bit_length() - 1
         pairs ^= low
-        below = ~mask & ((1 << j) - 1)
-        jl = below.bit_length() - 1
-        x = mask >> (j + 2)
-        z = (x + 1) & ~x  # lowest zero bit of x
-        jr = j + 2 + z.bit_length() - 1
-        out.append((mask ^ (3 << j)) | (1 << jl) | (1 << jr))
+        below = empty & (low - 1)
+        above = empty & -(low << 2 * b)
+        out.append(key - low - (low << b) + (1 << below.bit_length() - 1) + (above & -above))
     return out
 
 
-def _mask_sumtroid(mask: int, floor: int) -> int:
-    total = 0
-    count = 0
-    while mask:
-        low = mask & -mask
-        total += low.bit_length() - 1
-        count += 1
-        mask ^= low
-    return total + count * floor
-
-
-def _flat_mask_distribution(
-    n: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> dict[int, Fraction]:
-    """Centered sumtroid -> probability for the flat clusteron of size n.
-
-    Forward pass in increasing mask order (= increasing entropy, a
-    topological order), keeping one pending probability per frontier
-    state.  No occupant ever leaves rooms -(n-1)..2n-2, so two spare
-    bits below the start window are margin enough.
-    """
-    floor = -(n + 1)
-    start = ((1 << n) - 1) << -floor
-    center = n * (n - 1) // 2
-    pending: dict[int, Fraction] = {start: Fraction(1)}
-    heap = [start]
-    out: dict[int, Fraction] = {}
-    processed = 0
-    while heap:
-        mask = heapq.heappop(heap)
-        p = pending.pop(mask)
-        processed += 1
-        if processed > node_budget:
-            raise BudgetExceededError(node_budget)
-        succ = _mask_successors(mask)
-        if not succ:
-            k = _mask_sumtroid(mask, floor) - center
-            out[k] = out.get(k, Fraction(0)) + p
-            continue
-        share = p / len(succ)
-        for t in succ:
-            if t in pending:
-                pending[t] += share
-            else:
-                pending[t] = share
-                heapq.heappush(heap, t)
-    return out
+def _unpack(key: int, b: int, floor: int) -> RoomState:
+    rooms: list[int] = []
+    while key:
+        rooms += [floor] * (key & ((1 << b) - 1))
+        key >>= b
+        floor += 1
+    return state_from_positions(rooms)
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +116,46 @@ def final_distribution(
 ) -> SumtroidDistribution:
     """Distribution of the final sumtroid change under uniform play.
 
-    Flat clusterons use the mask fast path; any other start falls back
-    to explicit exploration ordered by entropy.
+    Forward pass in increasing key order, keeping one pending probability
+    per frontier state; ``node_budget`` caps the states processed.  The
+    window has _MARGIN * n spare rooms on each side of the start; a state
+    in its first or last room raises :class:`InvariantViolationError`
+    before any move could leave it.
     """
     n = initial.total
-    if initial.occupancy == (1,) * n:
-        mass = _flat_mask_distribution(n, node_budget)
-    else:
-        mass = _graph_distribution(initial, node_budget)
+    b = max(initial.occupancy).bit_length()
+    margin = _MARGIN * n
+    width = 2 * margin + len(initial.occupancy)
+    field = (1 << b) - 1
+    digits = ((1 << b * width) - 1) // field  # the low bit of every room's field
+    ends = field | field << b * (width - 1)  # the window's first and last room
+    floor = initial.offset - margin
+    start = sum(c << b * (margin + j) for j, c in enumerate(initial.occupancy))
+    pending: dict[int, Fraction] = {start: Fraction(1)}
+    heap = [start]
+    mass: dict[int, Fraction] = {}
+    processed = 0
+    while heap:
+        key = heapq.heappop(heap)
+        p = pending.pop(key)
+        processed += 1
+        if processed > node_budget:
+            raise BudgetExceededError(node_budget)
+        if key & ends:
+            state = _unpack(key, b, floor).text()
+            raise InvariantViolationError(f"{state} reaches an end of the {width}-room window")
+        succ = _packed_successors(key, b, digits)
+        if not succ:
+            k = sumtroid(_unpack(key, b, floor)) - sumtroid(initial)
+            mass[k] = mass.get(k, Fraction(0)) + p
+            continue
+        share = p / len(succ)
+        for t in succ:
+            if t in pending:
+                pending[t] += share
+            else:
+                pending[t] = share
+                heapq.heappush(heap, t)
     dist = SumtroidDistribution(n, mass)
     dist.check_total()
     return dist
@@ -166,7 +164,7 @@ def final_distribution(
 def _graph_distribution(
     initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> dict[int, Fraction]:
-    """Sumtroid change -> probability, pushed forward over the explored graph.
+    """Reference for :func:`final_distribution`: the same push over ``explore``.
 
     Entropy order is a topological order of the move graph, so every
     state after the start has its pending mass by the time it is popped.
@@ -241,13 +239,13 @@ def scaled_row(
 ) -> ScaledRow:
     """Scaled distribution row for the flat clusteron of size n.
 
-    When a cache directory is given (or set via DISPERSION_CACHE_DIR),
-    rows are stored as JSON and reused only if their content hash still
-    matches; anything corrupt is recomputed.
+    When a cache directory is given, rows are stored there as JSON and
+    reused only if their content hash still matches; anything corrupt is
+    recomputed.
     """
     if n < 2:
         raise DomainError("rows are defined for n >= 2")
-    cache = _resolve_cache_dir(cache_dir)
+    cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
         cached = _load_cached_row(cache / f"row_N{n}_scaled.json", n)
         if cached is not None:
@@ -297,14 +295,7 @@ def zero_pattern_check(row: ScaledRow) -> tuple[str, ...]:
 # sumtroid <-> (leaves, path end) coordinates
 
 
-class LxPair(NamedTuple):
-    """Tree coordinates of a nonzero row cell: leaf count and path end."""
-
-    ell: int
-    x: int
-
-
-def sumtroid_to_lx(n: int, k: int) -> LxPair:
+def sumtroid_to_lx(n: int, k: int) -> tuple[int, int]:
     """Map a nonzero centered sumtroid to its (leaves, path end) cell."""
     if abs(k) > row_half_width(n):
         raise DomainError(f"|k| > {row_half_width(n)} for n={n}")
@@ -315,7 +306,7 @@ def sumtroid_to_lx(n: int, k: int) -> LxPair:
     x = shifted % n
     if x == 0:
         x = 1
-    return LxPair(ell, x)
+    return ell, x
 
 
 def lx_to_sumtroid(n: int, ell: int, x: int) -> int:
@@ -393,8 +384,8 @@ def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
     Per-sample seeding makes shards independent of evaluation order: any
     partition of the index range gives the same totals.
     """
-    if n < 1:
-        raise DomainError(f"sampling needs n >= 1, got {n}")
+    if n < 2:
+        raise DomainError(f"sampling needs n >= 2, got {n}")
     if samples < 0:
         raise DomainError(f"sample count must be >= 0, got {samples}")
     counts: dict[int, int] = {}
@@ -475,13 +466,6 @@ def row_to_csv(row: ScaledRow | SumtroidDistribution) -> str:
         for k in sorted(row.mass):
             writer.writerow([k, str(row.mass[k])])
     return buf.getvalue()
-
-
-def _resolve_cache_dir(cache_dir: str | Path | None) -> Path | None:
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get(CACHE_ENV_VAR)
-    return Path(env) if env else None
 
 
 def _load_cached_row(path: Path, n: int) -> ScaledRow | None:

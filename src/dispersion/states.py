@@ -169,10 +169,6 @@ class Move:
     right_nbhd: int
 
     @property
-    def right_room(self) -> int:
-        return self.left_room + 1
-
-    @property
     def pair(self) -> tuple[int, int]:
         return (self.left_room, self.left_room + 1)
 

@@ -1,5 +1,6 @@
 """Command line interface: outputs, formats, and exit codes."""
 import json
+import re
 
 import pytest
 
@@ -147,7 +148,17 @@ def test_verify_subcommand_passes(capsys):
 def test_verify_runs_at_every_small_max_n(capsys, k):
     code, out = run_cli(capsys, "verify", "--max-n", str(k))
     assert code == 0, out
-    assert "33 checks: 33 passed" in out
+    assert re.search(r"^33 checks: \d+ passed, 0 failed, \d+ skipped$", out, re.M), out
+    assert ("33 checks: 33 passed" in out) == (k >= 4)  # below 4 some sweeps are empty
+    for lo, hi in re.findall(r"(-?\d+)\.\.(-?\d+)", out):
+        assert int(lo) <= int(hi), (lo, hi)
+
+
+def test_verify_never_reads_or_writes_a_row_cache(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("DISPERSION_CACHE_DIR", str(tmp_path))
+    code, _ = run_cli(capsys, "verify", "--suite", "window", "--max-n", "6")
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_json_format(capsys):
@@ -184,6 +195,9 @@ def test_usage_errors_exit_two(capsys):
         ["mc", "--n", "2", "--samples", "-5"],
         ["perms", "--n", "0"],
         ["perms", "--n", "-1"],
+        ["mc", "--n", "1"],
+        ["perms", "--n", "3", "--last", "9"],
+        ["perms", "--n", "3", "--first", "0"],
     ):
         assert cli.main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from dispersion import (
     BudgetExceededError,
     DomainError,
+    InvariantViolationError,
     TheoremViolationError,
     clusteron,
+    explore,
     final_distribution,
     flat_clusteron,
     golden_flat4_finals,
@@ -32,7 +34,9 @@ from dispersion import (
     zero_pattern_check,
     zero_residue,
 )
+from dispersion import probability
 from dispersion.probability import _graph_distribution
+from dispersion.verify import compositions
 
 
 def test_flat_four_distribution_matches_the_frozen_masses():
@@ -60,9 +64,18 @@ def test_forced_play_gives_a_point_mass():
 
 
 def test_fast_and_generic_paths_agree():
-    for n in range(2, 9):
-        fast = final_distribution(flat_clusteron(n))
-        assert _graph_distribution(flat_clusteron(n)) == fast.mass, n
+    starts = [clusteron(parts, start=5) for n in range(2, 7) for parts in compositions(n)]
+    starts += [clusteron(parts) for parts in ((6, 1), (4, 3), (7, 1))]  # widest excursions
+    starts += [flat_clusteron(n) for n in (7, 8)]
+    starts += [parse_state(text) for text in ("1011", "1001111", "10101", "141", "22", "1201@-2")]
+    for s in starts:
+        assert final_distribution(s).mass == _graph_distribution(s), s.text()
+
+
+def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
+    monkeypatch.setattr(probability, "_MARGIN", 0)
+    with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
+        final_distribution(flat_clusteron(3))
 
 
 def test_rows_match_the_frozen_goldens(rows):
@@ -198,18 +211,16 @@ def test_cache_roundtrip_and_corruption_recovery(tmp_path):
     assert fourth == first
 
 
-def test_cache_dir_can_come_from_the_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("DISPERSION_CACHE_DIR", str(tmp_path))
-    row = scaled_row(4)
-    assert list(tmp_path.glob("*.json"))
-    assert scaled_row(4) == row
-
-
 def test_node_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         final_distribution(flat_clusteron(9), node_budget=50)
     with pytest.raises(BudgetExceededError):
         final_distribution(parse_state("011110"), node_budget=4)
+    crowded = parse_state("141")
+    states = len(explore(crowded).nodes)  # the budget counts states processed
+    with pytest.raises(BudgetExceededError):
+        final_distribution(crowded, node_budget=states - 1)
+    final_distribution(crowded, node_budget=states)
 
 
 @settings(max_examples=25, deadline=None)

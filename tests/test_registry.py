@@ -3,7 +3,6 @@ from collections import Counter
 from dataclasses import replace
 
 from dispersion import probability, verify
-from dispersion.probability import CACHE_ENV_VAR
 from dispersion.verify import CHECKS, DEFAULT_MAX_N, SUITES, RunContext, run_suite, run_suites
 
 from test_acceptance import CRITERIA
@@ -78,7 +77,6 @@ def test_default_budgets_are_frozen():
 
 def test_probability_suite_builds_each_flat_row_once(monkeypatch):
     # rows and uniform shadows share the run's memo: one exact DP per size
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     calls = Counter()
     real = probability.final_distribution
 
