@@ -7,6 +7,7 @@ final placements of flat starts, and shows the locked-in criterion.
 """
 from dispersion import (
     clusteron,
+    explore,
     final_shadow_family,
     final_shadow_set,
     flat_clusteron,
@@ -30,11 +31,11 @@ def main() -> None:
     for parts in compositions(4):
         if len(parts) == 1:
             continue
-        reached = sorted(f.k for f in final_shadow_set(clusteron(parts)))
+        reached = sorted(f.k for f in final_shadow_set(explore(clusteron(parts))))
         print(f"  start {''.join(map(str, parts))}: shadows k in {reached}")
     print("the two size-3 exceptions reach a single shadow each:")
     for text in ("12", "21"):
-        reached = sorted(f.k for f in final_shadow_set(parse_state(text)))
+        reached = sorted(f.k for f in final_shadow_set(explore(parse_state(text))))
         print(f"  start {text}: shadows k in {reached}")
     print()
 
@@ -51,8 +52,9 @@ def main() -> None:
     print("equivalent to being spacious (no 3-run, 2-runs split by 2-gaps):")
     for text in ("110011", "11011", "10101"):
         print(f"  {text}: spacious = {is_spacious(parse_state(text))}")
-    rep = verify_locked_in_equivalence(flat_clusteron(6))
-    print(f"checked pointwise on {rep.nodes} reachable states: ok = {rep.ok}")
+    g = explore(flat_clusteron(6))
+    ok = not verify_locked_in_equivalence(g)
+    print(f"checked pointwise on {len(g.nodes)} reachable states: ok = {ok}")
     print()
 
     rep = merge_shadows_check(3, 1, 2, 1)

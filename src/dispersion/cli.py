@@ -137,6 +137,8 @@ def cmd_finals(args: argparse.Namespace) -> int:
 
 
 def cmd_prob(args: argparse.Namespace) -> int:
+    if args.cache_dir is not None and not args.scaled:
+        raise DomainError("--cache-dir caches scaled rows only; add --scaled")
     if args.scaled:
         row = scaled_row(args.n, cache_dir=args.cache_dir, node_budget=args.node_budget)
     else:
@@ -183,6 +185,10 @@ def _rtable_payload(table: RTable) -> dict:
 
 
 def cmd_rtable(args: argparse.Namespace) -> int:
+    if args.method == "brute" and args.n > 10:
+        raise BudgetExceededError(
+            args.n, "tree enumeration is capped at n=10; use --method recursion"
+        )
     table = (
         r_table_bruteforce(args.n)
         if args.method == "brute"

@@ -23,7 +23,7 @@ from math import factorial
 from pathlib import Path
 
 from .errors import BudgetExceededError, DomainError, InvariantViolationError, TheoremViolationError
-from .reachability import DEFAULT_NODE_BUDGET, explore
+from .reachability import DEFAULT_NODE_BUDGET, ReachGraph
 from .states import RoomState, entropy, flat_clusteron, state_from_positions, sumtroid
 
 
@@ -161,17 +161,14 @@ def final_distribution(
     return dist
 
 
-def _graph_distribution(
-    initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET
-) -> dict[int, Fraction]:
-    """Reference for :func:`final_distribution`: the same push over ``explore``.
+def _graph_distribution(g: ReachGraph) -> dict[int, Fraction]:
+    """Reference for :func:`final_distribution`: the same push over a graph.
 
     Entropy order is a topological order of the move graph, so every
     state after the start has its pending mass by the time it is popped.
     """
-    g = explore(initial, node_budget)
-    k0 = sumtroid(initial)
-    pending: dict[RoomState, Fraction] = {initial: Fraction(1)}
+    k0 = sumtroid(g.initial)
+    pending: dict[RoomState, Fraction] = {g.initial: Fraction(1)}
     mass: dict[int, Fraction] = {}
     for s in sorted(g.nodes, key=entropy):
         p = pending.pop(s)
@@ -181,7 +178,7 @@ def _graph_distribution(
             mass[k] = mass.get(k, Fraction(0)) + p
             continue
         share = p / len(edges)
-        for _, t in edges:
+        for t in edges:
             pending[t] = pending.get(t, Fraction(0)) + share
     return mass
 

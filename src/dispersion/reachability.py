@@ -23,7 +23,6 @@ from .states import (
     centered_sumtroid,
     classify_final_shadow,
     entropy,
-    flat_clusteron,
     gaps,
     shadow,
     sumtroid,
@@ -38,17 +37,22 @@ class ReachGraph:
     """All states reachable from ``initial``, with one edge per move.
 
     ``nodes`` lists states in breadth-first discovery order; ``edges``
-    maps each state to its (move, successor) pairs in move order.  The
-    graph is acyclic because entropy strictly increases along edges.
+    maps each state to its successors in move order, so that
+    ``edges[s][i] == apply_move(s, available_moves(s)[i])``.  The graph
+    is acyclic because entropy strictly increases along edges.
     """
 
     initial: RoomState
     nodes: tuple[RoomState, ...]
-    edges: dict[RoomState, tuple[tuple[Move, RoomState], ...]]
-    finals: tuple[RoomState, ...]
+    edges: dict[RoomState, tuple[RoomState, ...]]
 
     def __contains__(self, s: RoomState) -> bool:
         return s in self.edges
+
+    @property
+    def finals(self) -> tuple[RoomState, ...]:
+        """The nodes without successors, in discovery order."""
+        return tuple(s for s in self.nodes if not self.edges[s])
 
     def depths(self) -> dict[RoomState, int]:
         """Minimum number of moves from the initial state to each node."""
@@ -56,7 +60,7 @@ class ReachGraph:
         queue = deque([self.initial])
         while queue:
             s = queue.popleft()
-            for _, t in self.edges[s]:
+            for t in self.edges[s]:
                 if t not in depth:
                     depth[t] = depth[s] + 1
                     queue.append(t)
@@ -64,10 +68,13 @@ class ReachGraph:
 
 
 def explore(initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET) -> ReachGraph:
-    """Breadth-first exploration with canonical deduplication."""
+    """Breadth-first exploration with canonical deduplication.
+
+    Raises :class:`BudgetExceededError` when more than ``node_budget``
+    states are reachable.
+    """
     nodes: list[RoomState] = []
-    edges: dict[RoomState, tuple[tuple[Move, RoomState], ...]] = {}
-    finals: list[RoomState] = []
+    edges: dict[RoomState, tuple[RoomState, ...]] = {}
     seen = {initial}
     queue = deque([initial])
     while queue:
@@ -75,30 +82,22 @@ def explore(initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET) -> Reach
         if len(nodes) >= node_budget:
             raise BudgetExceededError(node_budget)
         nodes.append(s)
-        outgoing = []
-        for m in available_moves(s):
-            t = apply_move(s, m)
-            outgoing.append((m, t))
+        edges[s] = successors = tuple(apply_move(s, m) for m in available_moves(s))
+        for t in successors:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-        edges[s] = tuple(outgoing)
-        if not outgoing:
-            finals.append(s)
-    return ReachGraph(initial, tuple(nodes), edges, tuple(finals))
+    return ReachGraph(initial, tuple(nodes), edges)
 
 
-def final_shadow_set(
-    initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET
-) -> frozenset[FinalShadowId]:
-    """Shadows of all reachable final states.
+def final_shadow_set(g: ReachGraph) -> frozenset[FinalShadowId]:
+    """Shadows of all final states of the graph.
 
     Raises :class:`TheoremViolationError` when a reachable final state
     is not a member of the final shadow family (crowded room, gap wider
     than 2, ...), since every movable clusteron is expected to land in
     the family.
     """
-    g = explore(initial, node_budget)
     out = set()
     bad = []
     for f in g.finals:
@@ -109,7 +108,7 @@ def final_shadow_set(
             out.add(fid)
     if bad:
         raise TheoremViolationError(
-            f"finals outside the shadow family from {initial.text()}: {bad}"
+            f"finals outside the shadow family from {g.initial.text()}: {bad}"
         )
     return frozenset(out)
 
@@ -191,34 +190,19 @@ def locked_in_map(g: ReachGraph) -> dict[RoomState, bool]:
     for s in sorted(g.nodes, key=entropy, reverse=True):
         k = sumtroid(s)
         locked[s] = all(
-            sumtroid(t) == k and locked[t] for _, t in g.edges[s]
+            sumtroid(t) == k and locked[t] for t in g.edges[s]
         )
     return locked
 
 
-@dataclass(frozen=True)
-class LockedInReport:
-    nodes: int
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def verify_locked_in_equivalence(
-    initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET
-) -> LockedInReport:
-    """Check locked-in == spacious on every reachable state."""
-    g = explore(initial, node_budget)
+def verify_locked_in_equivalence(g: ReachGraph) -> tuple[str, ...]:
+    """Check locked-in == spacious on every node; returns the mismatches."""
     locked = locked_in_map(g)
-    mismatches = []
-    for s in g.nodes:
-        if locked[s] != is_spacious(s):
-            mismatches.append(
-                f"{s.text()}: locked_in={locked[s]} spacious={is_spacious(s)}"
-            )
-    return LockedInReport(len(g.nodes), tuple(mismatches))
+    return tuple(
+        f"{s.text()}: locked_in={locked[s]} spacious={is_spacious(s)}"
+        for s in g.nodes
+        if locked[s] != is_spacious(s)
+    )
 
 
 def _side_is_narrow(s: RoomState, room: int, step: int) -> bool:
@@ -272,7 +256,7 @@ def earliest_gap_decrease(g: ReachGraph) -> int | None:
     for s in g.nodes:
         if not s.single_occupancy:
             continue
-        for m, _ in g.edges[s]:
+        for m in available_moves(s):
             if gap_delta_class(s, m) == -1:
                 move_number = depth[s] + 1
                 if best is None or move_number < best:
@@ -332,12 +316,10 @@ def displacements(s: RoomState, start: RoomState) -> tuple[int, ...]:
     return tuple(q - p for p, q in zip(a, b))
 
 
-def max_displacement(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Largest |room change| any occupant of a flat clusteron ever shows."""
-    start = flat_clusteron(n)
-    g = explore(start, node_budget)
+def max_displacement(g: ReachGraph) -> int:
+    """Largest |room change| any occupant shows across the graph."""
     return max(
-        (abs(d) for s in g.nodes for d in displacements(s, start)),
+        (abs(d) for s in g.nodes for d in displacements(s, g.initial)),
         default=0,
     )
 
@@ -417,7 +399,7 @@ def export_dot(
             return str(centered_sumtroid(s))
         return s.text()
 
-    def children(s: RoomState) -> tuple[tuple[Move, RoomState], ...]:
+    def children(s: RoomState) -> tuple[RoomState, ...]:
         if prune_locked_in and locked[s]:
             return ()
         edges = g.edges[s]
@@ -431,14 +413,14 @@ def export_dot(
         while queue:
             s = queue.popleft()
             kept.append(s)
-            for _, t in children(s):
+            for t in children(s):
                 if t not in seen:
                     seen.add(t)
                     queue.append(t)
         for s in kept:
             lines.append(f'  {_dot_id(s.text())} [label="{label(s)}"];')
         for s in kept:
-            for _, t in children(s):
+            for t in children(s):
                 lines.append(f"  {_dot_id(s.text())} -> {_dot_id(t.text())};")
     else:
         taken: dict[str, int] = {}
@@ -452,7 +434,7 @@ def export_dot(
             lines.append(f'  {node_id} [label="{label(s)}"];')
             if parent_id is not None:
                 lines.append(f"  {parent_id} -> {node_id};")
-            for _, t in children(s):
+            for t in children(s):
                 emit(t, node_id)
 
         emit(initial, None)

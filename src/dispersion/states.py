@@ -261,11 +261,6 @@ def apply_move(s: RoomState, m: Move) -> RoomState:
     counts[m.left_room + 1 - lo] -= 1
     counts[m.left_target - lo] += 1
     counts[m.right_target - lo] += 1
-    while counts and counts[0] == 0:  # defensive; ends stay occupied in practice
-        counts.pop(0)
-        lo += 1
-    while counts and counts[-1] == 0:
-        counts.pop()
     return RoomState(lo, tuple(counts))
 
 

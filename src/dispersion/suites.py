@@ -14,14 +14,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    InvalidMoveError,
-    MalformedStateError,
-)
-from .reachability import explore
-from .states import Move, RoomState, parse_state
+from .errors import DomainError, InvalidMoveError, MalformedStateError
+from .reachability import ReachGraph
+from .states import Move, RoomState, available_moves, parse_state
 
 
 @dataclass(frozen=True)
@@ -140,11 +135,6 @@ def apply_suite_move(ss: SuiteState, m: SuiteMove) -> SuiteState:
         cells.append(k - m.split)
     else:
         cells[j + 1] += k - m.split
-    while cells[0] == 0:  # defensive; boundary cells stay positive
-        cells.pop(0)
-        offset += 1
-    while cells[-1] == 0:
-        cells.pop()
     return SuiteState(offset, tuple(cells))
 
 
@@ -189,36 +179,33 @@ class CorrespondenceReport:
         return not self.mismatches
 
 
-def verify_move_correspondence(
-    initial: RoomState, node_budget: int = 1_000_000
-) -> CorrespondenceReport:
-    """Explore both views from one start and compare them edge by edge.
+def verify_move_correspondence(g: ReachGraph) -> CorrespondenceReport:
+    """Explore the suite view from the graph's start and compare edge by edge.
 
     Checks that encoding is a graph isomorphism: every room node maps to
     a distinct suite node, every room move to a suite move reaching the
     encoded successor, and each mirrored pair of moves shifts the
-    centroid identically.  Raises :class:`BudgetExceededError` if either
-    exploration would grow past ``node_budget`` states.
+    centroid identically.  The suite search stops once it holds more
+    states than the room graph, which already makes the views differ.
     """
     mismatches: list[str] = []
-    n = initial.total
-    g = explore(initial, node_budget)
+    n = g.initial.total
     room_edges = sum(len(e) for e in g.edges.values())
 
-    start = to_suites(initial)
+    start = to_suites(g.initial)
     suite_seen = {start}
     squeue = deque([start])
     suite_edges = 0
-    while squeue:
+    while squeue and len(suite_seen) <= len(g.nodes):
         ss = squeue.popleft()
         for sm in suite_moves(ss):
             suite_edges += 1
             tt = apply_suite_move(ss, sm)
             if tt not in suite_seen:
-                if len(suite_seen) >= node_budget:
-                    raise BudgetExceededError(node_budget)
                 suite_seen.add(tt)
                 squeue.append(tt)
+                if len(suite_seen) > len(g.nodes):
+                    break
 
     encoded = {to_suites(s) for s in g.nodes}
     if len(encoded) != len(g.nodes):
@@ -233,7 +220,7 @@ def verify_move_correspondence(
 
     for s in g.nodes:
         ss = to_suites(s)
-        for m, t in g.edges[s]:
+        for m, t in zip(available_moves(s), g.edges[s]):
             sm = suite_move_for(s, m)
             try:
                 tt = apply_suite_move(ss, sm)

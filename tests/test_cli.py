@@ -198,6 +198,7 @@ def test_usage_errors_exit_two(capsys):
         ["mc", "--n", "1"],
         ["perms", "--n", "3", "--last", "9"],
         ["perms", "--n", "3", "--first", "0"],
+        ["prob", "--n", "4", "--cache-dir", "/nonexistent"],
     ):
         assert cli.main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
@@ -208,6 +209,8 @@ def test_budget_errors_exit_three(capsys):
     capsys.readouterr()
     assert cli.main(["perms", "--n", "12", "--stat", "descent"]) == 3
     capsys.readouterr()
+    assert cli.main(["rtable", "--n", "11"]) == 3
+    assert "--method recursion" in capsys.readouterr().err
 
 
 def test_output_file_writing(capsys, tmp_path):

@@ -46,6 +46,18 @@ def test_flat_four_graph_has_known_shape(flat_graphs):
     )
 
 
+@pytest.mark.parametrize(
+    "start",
+    [flat_clusteron(n) for n in range(2, 7)] + [parse_state("141"), parse_state("1201@-2")],
+    ids=lambda s: s.text(),
+)
+def test_edges_hold_the_successors_in_move_order(start):
+    g = explore(start)
+    for s in g.nodes:
+        assert g.edges[s] == tuple(apply_move(s, m) for m in available_moves(s))
+    assert g.finals == tuple(s for s in g.nodes if is_final(s))
+
+
 def test_explore_respects_its_node_budget():
     with pytest.raises(BudgetExceededError) as exc:
         explore(flat_clusteron(7), node_budget=25)
@@ -54,19 +66,19 @@ def test_explore_respects_its_node_budget():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_flat_starts_reach_every_final_shadow(n):
-    assert final_shadow_set(flat_clusteron(n)) == final_shadow_family(n)
+    assert final_shadow_set(explore(flat_clusteron(n))) == final_shadow_family(n)
 
 
 def test_the_two_smallest_crowded_starts_reach_one_shadow_each():
-    assert final_shadow_set(clusteron((1, 2))) == frozenset({FinalShadowId(3, 1)})
-    assert final_shadow_set(clusteron((2, 1))) == frozenset({FinalShadowId(3, 2)})
+    assert final_shadow_set(explore(clusteron((1, 2)))) == frozenset({FinalShadowId(3, 1)})
+    assert final_shadow_set(explore(clusteron((2, 1)))) == frozenset({FinalShadowId(3, 2)})
 
 
 def test_width_one_crowded_starts_are_stuck():
     s = clusteron((3,))
     assert available_moves(s) == ()
     with pytest.raises(TheoremViolationError):
-        final_shadow_set(s)
+        final_shadow_set(explore(s))
 
 
 def test_placement_of_reads_shadow_and_leftmost():
@@ -102,9 +114,8 @@ def test_spaciousness_on_samples():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_locked_in_equals_spacious_everywhere(n, flat_graphs):
-    rep = verify_locked_in_equivalence(flat_clusteron(n))
-    assert rep.ok, rep.mismatches
     g = flat_graphs[n]
+    assert verify_locked_in_equivalence(g) == ()
     locked = locked_in_map(g)
     for f in g.finals:
         assert locked[f]
@@ -123,7 +134,7 @@ def test_locked_in_states_keep_their_sumtroid(flat_graphs):
         while stack:
             u = stack.pop()
             assert sumtroid(u) == k
-            for _, t in g.edges[u]:
+            for t in g.edges[u]:
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
@@ -165,8 +176,8 @@ def test_displacements_are_rank_aligned():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_no_occupant_moves_farther_than_n_minus_one(n):
-    assert max_displacement(n) == n - 1
+def test_no_occupant_moves_farther_than_n_minus_one(n, flat_graphs):
+    assert max_displacement(flat_graphs[n]) == n - 1
 
 
 def test_extreme_policies_reach_the_extreme_corners():

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dispersion import (
-    BudgetExceededError,
     DomainError,
     MalformedStateError,
+    ReachGraph,
     SuiteState,
     apply_move,
     apply_suite_move,
     available_moves,
+    explore,
     flat_clusteron,
     from_suites,
     parse_state,
@@ -86,12 +87,15 @@ def test_suite_moves_mirror_room_moves(s):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_move_graphs_are_isomorphic(n):
-    rep = verify_move_correspondence(flat_clusteron(n))
+    rep = verify_move_correspondence(explore(flat_clusteron(n)))
     assert rep.ok, rep.mismatches
     assert rep.room_nodes == rep.suite_nodes
     assert rep.room_edges == rep.suite_edges
 
 
-def test_correspondence_respects_its_node_budget():
-    with pytest.raises(BudgetExceededError):
-        verify_move_correspondence(flat_clusteron(6), node_budget=10)
+def test_truncated_room_graph_stops_the_suite_search():
+    start = flat_clusteron(6)
+    rep = verify_move_correspondence(ReachGraph(start, (start,), {start: ()}))
+    assert not rep.ok
+    assert rep.room_nodes == 1
+    assert rep.suite_nodes <= 2
