@@ -117,7 +117,6 @@ from .perms import (
 )
 from .verify import (
     CheckResult,
-    RunConfig,
     VerifyReport,
     compositions,
     golden_flat4_finals,

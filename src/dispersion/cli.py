@@ -35,7 +35,7 @@ from .reachability import (
 )
 from .states import available_moves, flat_clusteron, parse_state, sumtroid
 from .trees import RTable, r_table_bruteforce, r_table_recursive
-from .verify import RunConfig, reports_to_json, reports_to_text, run_suites, SUITES
+from .verify import reports_to_json, reports_to_text, run_suites, SUITES
 
 USAGE_EXIT = 2
 BUDGET_EXIT = 3
@@ -243,8 +243,7 @@ def cmd_perms(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig(max_n=args.max_n, node_budget=args.node_budget)
-    reports = run_suites(cfg, args.suite or None)
+    reports = run_suites(args.max_n, args.suite or None)
     text = reports_to_json(reports) if args.format == "json" else reports_to_text(reports)
     _write(args, text)
     return 0 if all(r.ok for r in reports) else 1
@@ -290,7 +289,6 @@ def _parser() -> argparse.ArgumentParser:
         help="prune children of states whose sumtroid can no longer change",
     )
     add_budget(p)
-    p.add_argument("--format", choices=("dot",), default="dot")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_graph)
 
@@ -336,8 +334,7 @@ def _parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES),
         help="run only this suite (repeatable); default is all",
     )
-    p.add_argument("--max-n", type=int, default=None, help="override every suite budget")
-    add_budget(p)
+    p.add_argument("--max-n", type=int, default=None, help="override every suite's size limit")
     add_format(p, ("text", "json"))
     p.set_defaults(func=cmd_verify)
 

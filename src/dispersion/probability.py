@@ -69,10 +69,32 @@ def _packed_successors(key: int, b: int, digits: int) -> list[int]:
     while pairs:
         low = pairs & -pairs
         pairs ^= low
-        below = empty & (low - 1)
-        above = empty & -(low << 2 * b)
-        out.append(key - low - (low << b) + (1 << below.bit_length() - 1) + (above & -above))
+        out.append(_packed_move(key, low, b, empty))
     return out
+
+
+def _packed_move(key: int, low: int, b: int, empty: int) -> int:
+    """Fire the pair at bit ``low``: each occupant takes its nearest ``empty`` room or drops."""
+    below = empty & (low - 1)
+    above = empty & -(low << 2 * b)
+    return key - low - (low << b) + (1 << below.bit_length() >> 1) + (above & -above)
+
+
+def _window(initial: RoomState) -> tuple[int, int, int, int, int, int]:
+    """b, first room, width, start key, digits and ends of the start's window."""
+    b = max(initial.occupancy).bit_length()
+    margin = _MARGIN * initial.total
+    width = 2 * margin + len(initial.occupancy)
+    field = (1 << b) - 1
+    digits = ((1 << b * width) - 1) // field  # the low bit of every room's field
+    ends = field | field << b * (width - 1)  # the window's first and last room
+    start = sum(c << b * (margin + j) for j, c in enumerate(initial.occupancy))
+    return b, initial.offset - margin, width, start, digits, ends
+
+
+def _window_error(key: int, b: int, floor: int, width: int) -> InvariantViolationError:
+    state = _unpack(key, b, floor).text()
+    return InvariantViolationError(f"{state} reaches an end of the {width}-room window")
 
 
 def _unpack(key: int, b: int, floor: int) -> RoomState:
@@ -122,15 +144,7 @@ def final_distribution(
     in its first or last room raises :class:`InvariantViolationError`
     before any move could leave it.
     """
-    n = initial.total
-    b = max(initial.occupancy).bit_length()
-    margin = _MARGIN * n
-    width = 2 * margin + len(initial.occupancy)
-    field = (1 << b) - 1
-    digits = ((1 << b * width) - 1) // field  # the low bit of every room's field
-    ends = field | field << b * (width - 1)  # the window's first and last room
-    floor = initial.offset - margin
-    start = sum(c << b * (margin + j) for j, c in enumerate(initial.occupancy))
+    b, floor, width, start, digits, ends = _window(initial)
     pending: dict[int, Fraction] = {start: Fraction(1)}
     heap = [start]
     mass: dict[int, Fraction] = {}
@@ -142,8 +156,7 @@ def final_distribution(
         if processed > node_budget:
             raise BudgetExceededError(node_budget)
         if key & ends:
-            state = _unpack(key, b, floor).text()
-            raise InvariantViolationError(f"{state} reaches an end of the {width}-room window")
+            raise _window_error(key, b, floor, width)
         succ = _packed_successors(key, b, digits)
         if not succ:
             k = sumtroid(_unpack(key, b, floor)) - sumtroid(initial)
@@ -156,7 +169,7 @@ def final_distribution(
             else:
                 pending[t] = share
                 heapq.heappush(heap, t)
-    dist = SumtroidDistribution(n, mass)
+    dist = SumtroidDistribution(initial.total, mass)
     dist.check_total()
     return dist
 
@@ -351,45 +364,41 @@ def window_recurrence_step(prev: ScaledRow) -> ScaledRow:
 # Monte Carlo
 
 
-def _playout_sumtroid(n: int, rng: random.Random) -> int:
-    """One uniform random playout of the flat clusteron; centered result."""
-    shift = n + 1
-    mask = ((1 << n) - 1) << shift
-    k = 0
-    while True:
-        pairs = mask & (mask >> 1)
-        if not pairs:
-            return k
-        count = pairs.bit_count()
-        idx = rng.randrange(count) if count > 1 else 0
-        for _ in range(idx):
-            pairs &= pairs - 1
-        low = pairs & -pairs
-        j = low.bit_length() - 1
-        below = ~mask & (low - 1)
-        jl = below.bit_length() - 1
-        x = mask >> (j + 2)
-        z = (x + 1) & ~x
-        jr = j + 2 + z.bit_length() - 1
-        k += jl + jr - 2 * j - 1  # right reach minus left reach
-        mask = (mask ^ (3 << j)) | (1 << jl) | (1 << jr)
-
-
 def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
-    """Sampled final sumtroids; sample i uses Random(seed*1000003 + i).
+    """Sampled final sumtroid changes of the flat clusteron of size n.
 
-    Per-sample seeding makes shards independent of evaluation order: any
-    partition of the index range gives the same totals.
+    Sample i plays the DP's packed move on its window, firing at each step
+    the ``Random(seed*1000003 + i).randrange(count)``-th adjacent pair
+    from the low end (no draw for a single pair).  Per-sample seeding
+    makes shards independent of evaluation order: any partition of the
+    index range gives the same totals.
     """
     if n < 2:
         raise DomainError(f"sampling needs n >= 2, got {n}")
     if samples < 0:
         raise DomainError(f"sample count must be >= 0, got {samples}")
-    counts: dict[int, int] = {}
+    initial = flat_clusteron(n)
+    _, floor, width, start, digits, ends = _window(initial)
+    if start & ends:
+        raise _window_error(start, 1, floor, width)
+    finals: dict[int, int] = {}
     for i in range(samples):
         rng = random.Random(seed * 1_000_003 + i)
-        k = _playout_sumtroid(n, rng)
-        counts[k] = counts.get(k, 0) + 1
+        key = start
+        while pairs := key & (key >> 1):
+            count = pairs.bit_count()
+            if count > 1:
+                for _ in range(rng.randrange(count)):
+                    pairs &= pairs - 1
+            key = _packed_move(key, pairs & -pairs, 1, digits ^ key)
+        finals[key] = finals.get(key, 0) + 1
+    counts: dict[int, int] = {}
+    for key, c in finals.items():
+        # An occupant reaching an end stays there until dropped past it.
+        if key & ends or key.bit_count() != n:
+            raise _window_error(key, 1, floor, width)
+        k = sumtroid(_unpack(key, 1, floor)) - sumtroid(initial)
+        counts[k] = counts.get(k, 0) + c
     return dict(sorted(counts.items()))
 
 

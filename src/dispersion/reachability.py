@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,60 +35,62 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class ReachGraph:
-    """All states reachable from ``initial``, with one edge per move.
+    """All states reachable from ``initial``; a state is any hashable value.
 
     ``nodes`` lists states in breadth-first discovery order; ``edges``
-    maps each state to its successors in move order, so that
-    ``edges[s][i] == apply_move(s, available_moves(s)[i])``.  The graph
-    is acyclic because entropy strictly increases along edges.
+    maps each state to its successors in order, so that in :func:`explore`
+    ``edges[s][i] == apply_move(s, available_moves(s)[i])``.  Move graphs
+    are acyclic because entropy strictly increases along edges.
     """
 
-    initial: RoomState
-    nodes: tuple[RoomState, ...]
-    edges: dict[RoomState, tuple[RoomState, ...]]
-
-    def __contains__(self, s: RoomState) -> bool:
-        return s in self.edges
+    initial: Hashable
+    nodes: tuple[Hashable, ...]
+    edges: dict[Hashable, tuple[Hashable, ...]]
 
     @property
-    def finals(self) -> tuple[RoomState, ...]:
+    def finals(self) -> tuple[Hashable, ...]:
         """The nodes without successors, in discovery order."""
         return tuple(s for s in self.nodes if not self.edges[s])
 
-    def depths(self) -> dict[RoomState, int]:
+    def depths(self) -> dict[Hashable, int]:
         """Minimum number of moves from the initial state to each node."""
         depth = {self.initial: 0}
-        queue = deque([self.initial])
-        while queue:
-            s = queue.popleft()
+        for s in self.nodes:  # breadth-first: a node's first parent is a nearest one
             for t in self.edges[s]:
-                if t not in depth:
-                    depth[t] = depth[s] + 1
-                    queue.append(t)
+                depth.setdefault(t, depth[s] + 1)
         return depth
 
 
-def explore(initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET) -> ReachGraph:
-    """Breadth-first exploration with canonical deduplication.
+def _bfs(start: Hashable, step: Callable[[Hashable], tuple], node_budget: int) -> ReachGraph:
+    """Breadth-first closure of ``start`` under ``step``, deduplicated.
 
     Raises :class:`BudgetExceededError` when more than ``node_budget``
     states are reachable.
     """
-    nodes: list[RoomState] = []
-    edges: dict[RoomState, tuple[RoomState, ...]] = {}
-    seen = {initial}
-    queue = deque([initial])
+    edges: dict = {}  # in discovery order
+    seen = {start}
+    queue = deque([start])
     while queue:
         s = queue.popleft()
-        if len(nodes) >= node_budget:
+        if len(edges) >= node_budget:
             raise BudgetExceededError(node_budget)
-        nodes.append(s)
-        edges[s] = successors = tuple(apply_move(s, m) for m in available_moves(s))
+        edges[s] = successors = step(s)
         for t in successors:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-    return ReachGraph(initial, tuple(nodes), edges)
+    return ReachGraph(start, tuple(edges), edges)
+
+
+def explore(initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET) -> ReachGraph:
+    """The move graph of ``initial``: one successor per available move.
+
+    Raises :class:`BudgetExceededError` when more than ``node_budget``
+    states are reachable.
+    """
+    return _bfs(
+        initial, lambda s: tuple(apply_move(s, m) for m in available_moves(s)), node_budget
+    )
 
 
 def final_shadow_set(g: ReachGraph) -> frozenset[FinalShadowId]:
@@ -282,9 +285,7 @@ class MergeReport:
         )
 
 
-def merge_shadows_check(
-    n1: int, x: int, n2: int, y: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> MergeReport:
+def merge_shadows_check(n1: int, x: int, n2: int, y: int) -> MergeReport:
     """Place F(n1, x) directly left of F(n2, y) and explore.
 
     The combined state is spacious except for the touching pair, and the
@@ -295,7 +296,7 @@ def merge_shadows_check(
     right = FinalShadowId(n2, y).to_state(leftmost=2 * n1)
     occ = left.occupancy + right.occupancy
     initial = RoomState(0, occ)
-    g = explore(initial, node_budget)
+    g = explore(initial)
     k0 = sumtroid(initial)
     constant = all(sumtroid(s) == k0 for s in g.nodes)
     finals = tuple(sorted(placement_of(f) for f in g.finals))
@@ -407,29 +408,21 @@ def export_dot(
 
     lines = ["digraph dispersion {", "  node [shape=box];"]
     if mode == "dag":
-        kept: list[RoomState] = []
-        seen = {initial}
-        queue = deque([initial])
-        while queue:
-            s = queue.popleft()
-            kept.append(s)
-            for t in children(s):
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        for s in kept:
+        kept = _bfs(initial, children, node_budget)
+        for s in kept.nodes:
             lines.append(f'  {_dot_id(s.text())} [label="{label(s)}"];')
-        for s in kept:
-            for t in children(s):
+        for s in kept.nodes:
+            for t in kept.edges[s]:
                 lines.append(f"  {_dot_id(s.text())} -> {_dot_id(t.text())};")
     else:
+        size: dict[RoomState, int] = {}  # tree nodes under each state, itself included
+        for s in sorted(g.nodes, key=entropy, reverse=True):
+            size[s] = 1 + sum(size[t] for t in children(s))
+        if size[initial] > node_budget:
+            raise BudgetExceededError(node_budget)
         taken: dict[str, int] = {}
-        budget = [node_budget]
 
         def emit(s: RoomState, parent_id: str | None) -> None:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceededError(node_budget)
             node_id = _dot_id(s.text(), taken)
             lines.append(f'  {node_id} [label="{label(s)}"];')
             if parent_id is not None:

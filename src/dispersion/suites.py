@@ -10,12 +10,11 @@ centroid by the same amount.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, InvalidMoveError, MalformedStateError
-from .reachability import ReachGraph
+from .errors import BudgetExceededError, DomainError, InvalidMoveError, MalformedStateError
+from .reachability import ReachGraph, _bfs
 from .states import Move, RoomState, available_moves, parse_state
 
 
@@ -185,38 +184,33 @@ def verify_move_correspondence(g: ReachGraph) -> CorrespondenceReport:
     Checks that encoding is a graph isomorphism: every room node maps to
     a distinct suite node, every room move to a suite move reaching the
     encoded successor, and each mirrored pair of moves shifts the
-    centroid identically.  The suite search stops once it holds more
-    states than the room graph, which already makes the views differ.
+    centroid identically.  A suite view larger than the room graph is a
+    mismatch, reported as one state more than the graph and no edges.
     """
     mismatches: list[str] = []
     n = g.initial.total
     room_edges = sum(len(e) for e in g.edges.values())
-
-    start = to_suites(g.initial)
-    suite_seen = {start}
-    squeue = deque([start])
-    suite_edges = 0
-    while squeue and len(suite_seen) <= len(g.nodes):
-        ss = squeue.popleft()
-        for sm in suite_moves(ss):
-            suite_edges += 1
-            tt = apply_suite_move(ss, sm)
-            if tt not in suite_seen:
-                suite_seen.add(tt)
-                squeue.append(tt)
-                if len(suite_seen) > len(g.nodes):
-                    break
-
     encoded = {to_suites(s) for s in g.nodes}
     if len(encoded) != len(g.nodes):
         mismatches.append("suite encoding is not injective on reachable states")
-    if encoded != suite_seen:
-        mismatches.append(
-            f"encoded room nodes ({len(encoded)}) differ from suite nodes "
-            f"({len(suite_seen)})"
+    try:
+        view = _bfs(
+            to_suites(g.initial),
+            lambda ss: tuple(apply_suite_move(ss, sm) for sm in suite_moves(ss)),
+            len(g.nodes),
         )
-    if room_edges != suite_edges:
-        mismatches.append(f"edge counts differ: {room_edges} rooms vs {suite_edges} suites")
+    except BudgetExceededError:
+        mismatches.append(f"the suite view reaches more than {len(g.nodes)} states")
+        suite_nodes, suite_edges = len(g.nodes) + 1, 0
+    else:
+        suite_nodes = len(view.nodes)
+        suite_edges = sum(len(e) for e in view.edges.values())
+        if encoded != set(view.nodes):
+            mismatches.append(
+                f"encoded room nodes ({len(encoded)}) differ from suite nodes ({suite_nodes})"
+            )
+        if room_edges != suite_edges:
+            mismatches.append(f"edge counts differ: {room_edges} rooms vs {suite_edges} suites")
 
     for s in g.nodes:
         ss = to_suites(s)
@@ -240,7 +234,7 @@ def verify_move_correspondence(g: ReachGraph) -> CorrespondenceReport:
                 )
     return CorrespondenceReport(
         room_nodes=len(g.nodes),
-        suite_nodes=len(suite_seen),
+        suite_nodes=suite_nodes,
         room_edges=room_edges,
         suite_edges=suite_edges,
         mismatches=tuple(mismatches),

@@ -3,8 +3,8 @@
 Each claim is one check function, registered once with its suite, its
 check id and a plain-language statement of the claim.  A run shares one
 :class:`RunContext`, whose memo builds each exact row and tree table once.
-Default budgets are chosen so that a full run finishes in well under a
-minute; raising them tightens the same checks on larger instances.
+Each suite sweeps sizes up to its limit in ``DEFAULT_MAX_N``, set so that
+a full run takes seconds; ``max_n`` replaces every limit.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from .probability import (
     zero_residue,
 )
 from .reachability import (
-    DEFAULT_NODE_BUDGET,
     earliest_gap_decrease,
     explore,
     final_shadow_set,
@@ -113,39 +112,30 @@ class VerifyReport:
         return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Budgets for a verification run; max_n overrides every suite's default."""
+class RunContext:
+    """One verification run: its size limit and a memo of exact objects.
 
-    max_n: int | None = None
-    node_budget: int = DEFAULT_NODE_BUDGET
+    ``max_n``, when given, replaces every suite's default size limit;
+    graphs and DPs keep the engines' default node budget.  The memo holds
+    scaled rows and brute-force tree tables by size, never reachability
+    graphs, which would dominate peak memory.  It calls ``scaled_row``
+    and ``r_table_bruteforce`` through this module's globals at call
+    time, so tracers that swap them see every build.
+    """
 
-    def __post_init__(self) -> None:
-        if self.node_budget <= 0 or (self.max_n is not None and self.max_n <= 0):
-            raise ValueError("budgets must be positive")
+    def __init__(self, max_n: int | None = None) -> None:
+        if max_n is not None and max_n <= 0:
+            raise ValueError(f"max-n must be positive, got {max_n}")
+        self.max_n = max_n
+        self._rows: dict[int, ScaledRow] = {}
+        self._tables: dict[int, RTable] = {}
 
     def limit(self, suite: str) -> int:
         return DEFAULT_MAX_N[suite] if self.max_n is None else self.max_n
 
-
-class RunContext:
-    """One verification run: its config and a memo of exact objects.
-
-    The memo holds scaled rows and brute-force tree tables by size, and
-    never reachability graphs, which would dominate peak memory.  It
-    calls ``scaled_row`` and ``r_table_bruteforce`` through this
-    module's globals at call time, so tracers that swap them see every
-    build.
-    """
-
-    def __init__(self, cfg: RunConfig | None = None) -> None:
-        self.cfg = cfg or RunConfig()
-        self._rows: dict[int, ScaledRow] = {}
-        self._tables: dict[int, RTable] = {}
-
     def row(self, n: int) -> ScaledRow:
         if n not in self._rows:
-            self._rows[n] = scaled_row(n, node_budget=self.cfg.node_budget)
+            self._rows[n] = scaled_row(n)
         return self._rows[n]
 
     def table(self, n: int) -> RTable:
@@ -203,7 +193,7 @@ class Check:
 
 
 class CheckSkipped(Exception):
-    """Raised by a check whose size sweep is empty at the run's budget."""
+    """Raised by a check whose size sweep is empty at the run's size limit."""
 
 
 def sizes(lo: int, hi: int) -> range:
@@ -232,7 +222,7 @@ def run_checks(ids: Iterable[str], ctx: RunContext) -> tuple[CheckResult, ...]:
     for check_id in ids:
         c = CHECKS[check_id]
         try:
-            detail = c.fn(ctx, ctx.cfg.limit(c.suite))
+            detail = c.fn(ctx, ctx.limit(c.suite))
         except CheckSkipped as e:
             out.append(CheckResult(check_id, "skip", str(e), c.claim))
         except AssertionError as e:
@@ -272,7 +262,7 @@ def forced_chain(ctx: RunContext, top: int) -> str:
 def entropy_increase(ctx: RunContext, top: int) -> str:
     edges = 0
     for n in sizes(1, top):
-        g = explore(flat_clusteron(n), ctx.cfg.node_budget)
+        g = explore(flat_clusteron(n))
         for s in g.nodes:
             for t in g.edges[s]:
                 assert entropy(t) > entropy(s), (s.text(), t.text())
@@ -288,7 +278,7 @@ def entropy_increase(ctx: RunContext, top: int) -> str:
 def labeled_pushing(ctx: RunContext, top: int) -> str:
     moves = 0
     for n in sizes(2, min(top, 5)):
-        g = explore(flat_clusteron(n), ctx.cfg.node_budget)
+        g = explore(flat_clusteron(n))
         for s in g.nodes:
             ls = LabeledState.from_state(s)
             for m, t in zip(available_moves(s), g.edges[s]):
@@ -307,7 +297,7 @@ def labeled_pushing(ctx: RunContext, top: int) -> str:
 def displacement_bound(ctx: RunContext, top: int) -> str:
     for n in sizes(2, top):
         start = flat_clusteron(n)
-        assert max_displacement(explore(start, ctx.cfg.node_budget)) == n - 1, n
+        assert max_displacement(explore(start)) == n - 1, n
         left = run_policy(start, "leftmost")[-1]
         right = run_policy(start, "rightmost")[-1]
         dl = LabeledState.from_state(left).positions[-1] - (n - 1)
@@ -339,7 +329,7 @@ def codec(ctx: RunContext, top: int) -> str:
 def move_correspondence(ctx: RunContext, top: int) -> str:
     nodes = 0
     for n in range(2, top + 1):
-        rep = verify_move_correspondence(explore(flat_clusteron(n), ctx.cfg.node_budget))
+        rep = verify_move_correspondence(explore(flat_clusteron(n)))
         assert rep.ok, (n, rep.mismatches[:3])
         assert rep.room_nodes == rep.suite_nodes
         assert rep.room_edges == rep.suite_edges
@@ -378,7 +368,7 @@ def family_coverage(ctx: RunContext, top: int) -> str:
             if len(parts) == 1:
                 assert available_moves(s) == () and is_final(s)
                 continue
-            got = final_shadow_set(explore(s, ctx.cfg.node_budget))
+            got = final_shadow_set(explore(s))
             if parts == (1, 2):
                 assert got == {FinalShadowId(3, 1)}, got
             elif parts == (2, 1):
@@ -397,10 +387,10 @@ def family_coverage(ctx: RunContext, top: int) -> str:
 )
 def flat_placements(ctx: RunContext, top: int) -> str:
     assert flat_final_placements(1) == frozenset()
-    g1 = explore(flat_clusteron(1), ctx.cfg.node_budget)
+    g1 = explore(flat_clusteron(1))
     assert g1.finals == (flat_clusteron(1),)
     for n in sizes(2, top + 1):
-        g = explore(flat_clusteron(n), ctx.cfg.node_budget)
+        g = explore(flat_clusteron(n))
         got = frozenset(placement_of(f) for f in g.finals)
         want = flat_final_placements(n)
         assert got == want, (n, sorted(got ^ want))
@@ -429,7 +419,7 @@ def sumtroid_determines(ctx: RunContext, top: int) -> str:
 def merge_shadows(ctx: RunContext, top: int) -> str:
     cases = [(2, 1, 2, 1), (3, 1, 2, 1), (3, 2, 3, 1), (3, 2, 2, 1)]
     for n1, x, n2, y in cases:
-        rep = merge_shadows_check(n1, x, n2, y, ctx.cfg.node_budget)
+        rep = merge_shadows_check(n1, x, n2, y)
         assert rep.ok, (n1, x, n2, y, rep)
     return f"{len(cases)} adjacent-shadow merges"
 
@@ -446,7 +436,7 @@ def merge_shadows(ctx: RunContext, top: int) -> str:
 def spacious_equivalence(ctx: RunContext, top: int) -> str:
     nodes = 0
     for n in sizes(2, top):
-        g = explore(flat_clusteron(n), ctx.cfg.node_budget)
+        g = explore(flat_clusteron(n))
         bad = verify_locked_in_equivalence(g)
         assert not bad, (n, bad[:3])
         nodes += len(g.nodes)
@@ -461,7 +451,7 @@ def spacious_equivalence(ctx: RunContext, top: int) -> str:
 def gap_classes(ctx: RunContext, top: int) -> str:
     edges = 0
     for n in sizes(2, top):
-        g = explore(flat_clusteron(n), ctx.cfg.node_budget)
+        g = explore(flat_clusteron(n))
         for s in g.nodes:
             for m in available_moves(s):
                 gap_delta_class(s, m)  # self-verifying
@@ -480,7 +470,7 @@ def gap_decrease_bound(ctx: RunContext, top: int) -> str:
         for parts in compositions(n):
             if len(parts) == 1:
                 continue
-            e = earliest_gap_decrease(explore(clusteron(parts), ctx.cfg.node_budget))
+            e = earliest_gap_decrease(explore(clusteron(parts)))
             if e is not None:
                 earliest[parts] = e
     assert min(earliest.values()) == 3, min(earliest.values())
@@ -504,7 +494,7 @@ def no_crowded_isolated_room(ctx: RunContext, top: int) -> str:
     for n in sizes(2, min(top, 6)):
         for parts in compositions(n):
             s0 = clusteron(parts)
-            for s in explore(s0, ctx.cfg.node_budget).nodes:
+            for s in explore(s0).nodes:
                 if s != s0:
                     assert not has_crowded_isolated_room(s), (parts, s.text())
                     states += 1
@@ -554,10 +544,10 @@ def flat4_finals(ctx: RunContext, top: int) -> str:
     golden = {int(row["sumtroid"]): row for row in golden_flat4_finals()}
     want = {k: Fraction(row["mass"]) for k, row in golden.items()}
     for start in (flat_clusteron(4), parse_state("0001111000")):
-        dist = final_distribution(start, ctx.cfg.node_budget)
+        dist = final_distribution(start)
         assert dict(dist.mass) == want, (start.text(), dist.mass)
     assert sorted(want.values()) == [Fraction(1, 6)] * 4 + [Fraction(1, 3)]
-    g = explore(flat_clusteron(4), ctx.cfg.node_budget)
+    g = explore(flat_clusteron(4))
     finals = {sumtroid(f) - sumtroid(g.initial): f for f in g.finals}
     assert set(finals) == set(golden), sorted(finals)
     for k, row in golden.items():
@@ -794,28 +784,27 @@ def tree_counts_equal_row(ctx: RunContext, top: int) -> str:
 # suites and reports
 
 
-def run_suite(name: str, cfg: RunConfig, ctx: RunContext | None = None) -> VerifyReport:
+def run_suite(name: str, ctx: RunContext) -> VerifyReport:
     """Run one suite's checks in registration order."""
     ids = [c.check_id for c in CHECKS.values() if c.suite == name]
-    return VerifyReport(name, run_checks(ids, ctx or RunContext(cfg)))
+    return VerifyReport(name, run_checks(ids, ctx))
 
 
-SUITES: dict[str, Callable[..., VerifyReport]] = {
+SUITES: dict[str, Callable[[RunContext], VerifyReport]] = {
     name: partial(run_suite, name) for name in DEFAULT_MAX_N
 }
 
 
 def run_suites(
-    cfg: RunConfig | None = None, names: list[str] | None = None
+    max_n: int | None = None, names: list[str] | None = None
 ) -> tuple[VerifyReport, ...]:
     """Run the named suites (default: all) in canonical name order."""
-    cfg = cfg or RunConfig()
     selected = sorted(SUITES) if names is None else names
     unknown = [s for s in selected if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    ctx = RunContext(cfg)
-    return tuple(SUITES[name](cfg, ctx) for name in sorted(selected))
+    ctx = RunContext(max_n)
+    return tuple(SUITES[name](ctx) for name in sorted(selected))
 
 
 def reports_to_json(reports: tuple[VerifyReport, ...]) -> str:
@@ -847,10 +836,7 @@ def reports_to_text(reports: tuple[VerifyReport, ...]) -> str:
             lines.append(f"{mark}  {c.check_id}: {c.claim}")
             if c.detail:
                 lines.append(f"      {c.detail}")
-    total = {"pass": 0, "fail": 0, "skip": 0}
-    for r in reports:
-        for k, v in r.counts.items():
-            total[k] += v
+    total = VerifyReport("all", tuple(c for r in reports for c in r.checks)).counts
     lines.append(
         f"{sum(total.values())} checks: "
         f"{total['pass']} passed, {total['fail']} failed, {total['skip']} skipped"

@@ -175,7 +175,7 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
         suite="states",
         checks=(CheckResult("states.fake", "fail", "boom", "claim"),),
     )
-    monkeypatch.setattr(cli, "run_suites", lambda cfg, names: [fake])
+    monkeypatch.setattr(cli, "run_suites", lambda max_n, names: [fake])
     code, out = run_cli(capsys, "verify", "--suite", "states")
     assert code == 1
     assert "FAIL" in out
@@ -199,6 +199,9 @@ def test_usage_errors_exit_two(capsys):
         ["perms", "--n", "3", "--last", "9"],
         ["perms", "--n", "3", "--first", "0"],
         ["prob", "--n", "4", "--cache-dir", "/nonexistent"],
+        ["verify", "--max-n", "0"],
+        ["verify", "--node-budget", "5"],
+        ["graph", "--state", "11", "--format", "dot"],
     ):
         assert cli.main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
@@ -206,6 +209,9 @@ def test_usage_errors_exit_two(capsys):
 
 def test_budget_errors_exit_three(capsys):
     assert cli.main(["graph", "--state", "111111", "--node-budget", "3"]) == 3
+    capsys.readouterr()
+    # 1,160 states, but a tree of 550,887,617 nodes: counted before any line is built
+    assert cli.main(["graph", "--state", "21301", "--mode", "tree"]) == 3
     capsys.readouterr()
     assert cli.main(["perms", "--n", "12", "--stat", "descent"]) == 3
     capsys.readouterr()

@@ -76,6 +76,17 @@ def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
     monkeypatch.setattr(probability, "_MARGIN", 0)
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         final_distribution(flat_clusteron(3))
+    with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
+        monte_carlo_counts(3, 10, seed=0)
+
+    class HalfMargin(int):  # n // 2 spare rooms per side, too few for a flat 6
+        def __mul__(self, n):
+            return n // 2
+
+    monkeypatch.setattr(probability, "_MARGIN", HalfMargin(1))
+    for seed in range(40):  # no playout may drop an occupant past an end silently
+        with pytest.raises(InvariantViolationError, match="end of the 12-room window"):
+            monte_carlo_counts(6, 1, seed)
 
 
 def test_rows_match_the_frozen_goldens(rows):
@@ -159,6 +170,15 @@ def test_monte_carlo_is_seed_and_shard_deterministic():
         assert v <= a.get(k, 0)
     probs = monte_carlo(5, 400, seed=7)
     assert sum(probs.values()) == 1
+
+
+def test_monte_carlo_sample_stream_is_pinned():
+    # sample i draws from Random(seed*1000003 + i), one randrange per step with a choice
+    assert monte_carlo_counts(7, 200, seed=11) == {
+        -12: 1, -11: 2, -10: 2, -9: 3, -8: 4, -6: 2, -5: 12, -4: 21, -3: 19, -2: 12,
+        -1: 18, 1: 22, 2: 14, 3: 18, 4: 14, 5: 15, 6: 6, 8: 4, 9: 4, 10: 2, 11: 1,
+        12: 2, 13: 1, 15: 1,
+    }
 
 
 def test_monte_carlo_hits_only_legal_sumtroids(rows):

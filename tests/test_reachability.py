@@ -46,6 +46,18 @@ def test_flat_four_graph_has_known_shape(flat_graphs):
     )
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_depths_are_the_fewest_moves_to_each_state(n, flat_graphs):
+    g = flat_graphs[n]
+    parents: dict = {}
+    for s in g.nodes:
+        for t in g.edges[s]:
+            parents.setdefault(t, []).append(s)
+    depth = g.depths()
+    assert depth[g.initial] == 0 and len(depth) == len(g.nodes)
+    assert all(depth[t] == 1 + min(depth[s] for s in ps) for t, ps in parents.items())
+
+
 @pytest.mark.parametrize(
     "start",
     [flat_clusteron(n) for n in range(2, 7)] + [parse_state("141"), parse_state("1201@-2")],
@@ -213,3 +225,15 @@ def test_dot_export_modes():
     )
     half = export_dot(flat_clusteron(4), mode="tree", half="left")
     assert half.count("->") < tree.count("->")
+
+
+@pytest.mark.parametrize(
+    "n, options, nodes",
+    [(4, {}, 20), (5, {"half": "left"}, 102), (6, {"prune_locked_in": True}, 1284)],
+)
+def test_dot_tree_budget_counts_the_emitted_tree(n, options, nodes):
+    # each tree outgrows its graph (18, 72 and 274 states): the budget bounds the tree exactly
+    tree = export_dot(flat_clusteron(n), mode="tree", node_budget=nodes, **options)
+    assert tree.count("label=") == nodes
+    with pytest.raises(BudgetExceededError):
+        export_dot(flat_clusteron(n), mode="tree", node_budget=nodes - 1, **options)

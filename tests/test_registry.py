@@ -86,7 +86,6 @@ def test_probability_suite_builds_each_flat_row_once(monkeypatch):
         return real(initial, *args, **kwargs)
 
     monkeypatch.setattr(probability, "final_distribution", counted)
-    ctx = RunContext()
-    report = run_suite("probability", ctx.cfg, ctx)
+    report = run_suite("probability", RunContext())
     assert report.ok, report
     assert calls == Counter({n: 1 for n in range(2, DEFAULT_MAX_N["probability"] + 1)})

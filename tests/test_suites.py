@@ -99,3 +99,4 @@ def test_truncated_room_graph_stops_the_suite_search():
     assert not rep.ok
     assert rep.room_nodes == 1
     assert rep.suite_nodes <= 2
+    assert rep.mismatches == ("the suite view reaches more than 1 states",)
