@@ -19,7 +19,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 from .errors import BudgetExceededError, DomainError, InvariantViolationError, TheoremViolationError
@@ -51,6 +51,9 @@ def shadow_of_sumtroid(n: int, k: int) -> int:
 # Spare rooms per occupant on each side of the start.  Over all 510 compositions
 # of 2..9 the widest excursion is 12 rooms: (8, 1) leftwards, (7, 2) rightwards.
 _MARGIN = 2
+# The sampler plays flat starts only, whose occupants never move more than n - 1
+# rooms; n spare rooms keep keys below 2^30 up to n = 10.
+_FLAT_MARGIN = 1
 
 
 def _packed_successors(key: int, b: int, digits: int) -> list[int]:
@@ -80,10 +83,12 @@ def _packed_move(key: int, low: int, b: int, empty: int) -> int:
     return key - low - (low << b) + (1 << below.bit_length() >> 1) + (above & -above)
 
 
-def _window(initial: RoomState) -> tuple[int, int, int, int, int, int]:
-    """b, first room, width, start key, digits and ends of the start's window."""
+def _window(initial: RoomState, margin: int) -> tuple[int, int, int, int, int, int]:
+    """b, first room, width, start key, digits and ends of the start's window.
+
+    The window holds ``margin`` spare rooms on each side of the start.
+    """
     b = max(initial.occupancy).bit_length()
-    margin = _MARGIN * initial.total
     width = 2 * margin + len(initial.occupancy)
     field = (1 << b) - 1
     digits = ((1 << b * width) - 1) // field  # the low bit of every room's field
@@ -143,15 +148,25 @@ def final_distribution(
     window has _MARGIN * n spare rooms on each side of the start; a state
     in its first or last room raises :class:`InvariantViolationError`
     before any move could leave it.
+
+    A pending mass is an integer pair (N, e) meaning N / base^e, with
+    base = lcm(1..n-1): a state has at most n-1 adjacent occupied pairs,
+    so its move count d divides base and each successor's share is
+    (N * (base // d), e + 1).  A state can be reached at several depths,
+    so e is kept per state.  No gcd runs in the loop; each final
+    sumtroid's mass becomes one ``Fraction`` at the end.
     """
-    b, floor, width, start, digits, ends = _window(initial)
-    pending: dict[int, Fraction] = {start: Fraction(1)}
+    n = initial.total
+    b, floor, width, start, digits, ends = _window(initial, _MARGIN * n)
+    base = lcm(*range(1, n))
+    quotient = [0] + [base // d for d in range(1, n)]
+    pending: dict[int, tuple[int, int]] = {start: (1, 0)}
     heap = [start]
-    mass: dict[int, Fraction] = {}
+    mass: dict[int, tuple[int, int]] = {}
     processed = 0
     while heap:
         key = heapq.heappop(heap)
-        p = pending.pop(key)
+        num, e = pending.pop(key)
         processed += 1
         if processed > node_budget:
             raise BudgetExceededError(node_budget)
@@ -160,18 +175,36 @@ def final_distribution(
         succ = _packed_successors(key, b, digits)
         if not succ:
             k = sumtroid(_unpack(key, b, floor)) - sumtroid(initial)
-            mass[k] = mass.get(k, Fraction(0)) + p
+            mass[k] = _add_mass(mass.get(k), num, e, base)
             continue
-        share = p / len(succ)
+        share = num * quotient[len(succ)]
+        e += 1
         for t in succ:
-            if t in pending:
-                pending[t] += share
-            else:
-                pending[t] = share
+            held = pending.get(t)
+            if held is None:
+                pending[t] = (share, e)
                 heapq.heappush(heap, t)
-    dist = SumtroidDistribution(initial.total, mass)
+            elif held[1] == e:
+                pending[t] = (held[0] + share, e)
+            else:
+                pending[t] = _add_mass(held, share, e, base)
+    dist = SumtroidDistribution(
+        n, {k: Fraction(num, base**e) for k, (num, e) in mass.items()}
+    )
     dist.check_total()
     return dist
+
+
+def _add_mass(held: tuple[int, int] | None, num: int, e: int, base: int) -> tuple[int, int]:
+    """held + num / base^e, lifting the smaller exponent to the larger."""
+    if held is None:
+        return num, e
+    m, f = held
+    if f == e:
+        return m + num, e
+    if f < e:
+        return m * base ** (e - f) + num, e
+    return m + num * base ** (f - e), f
 
 
 def _graph_distribution(g: ReachGraph) -> dict[int, Fraction]:
@@ -367,7 +400,8 @@ def window_recurrence_step(prev: ScaledRow) -> ScaledRow:
 def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
     """Sampled final sumtroid changes of the flat clusteron of size n.
 
-    Sample i plays the DP's packed move on its window, firing at each step
+    Sample i plays the DP's packed move on a window of _FLAT_MARGIN * n
+    spare rooms per side (narrower than the DP's), firing at each step
     the ``Random(seed*1000003 + i).randrange(count)``-th adjacent pair
     from the low end (no draw for a single pair).  Per-sample seeding
     makes shards independent of evaluation order: any partition of the
@@ -378,7 +412,7 @@ def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
     if samples < 0:
         raise DomainError(f"sample count must be >= 0, got {samples}")
     initial = flat_clusteron(n)
-    _, floor, width, start, digits, ends = _window(initial)
+    _, floor, width, start, digits, ends = _window(initial, _FLAT_MARGIN * n)
     if start & ends:
         raise _window_error(start, 1, floor, width)
     finals: dict[int, int] = {}

@@ -771,7 +771,7 @@ def coordinates_roundtrip(ctx: RunContext, top: int) -> str:
 def tree_counts_equal_row(ctx: RunContext, top: int) -> str:
     for n in sizes(3, top):
         row = ctx.row(n)
-        table = ctx.table(n)
+        table = r_table_recursive(n)  # trees.recursion-vs-bruteforce ties it to enumeration
         for x in range(1, n):
             assert table.value(1, x) == table.value(n, x) == 0, (n, x)
             for leaves in range(2, n):

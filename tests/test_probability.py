@@ -1,6 +1,7 @@
 """Exact final-sumtroid distributions, scaled rows, and their serialization."""
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from dispersion import (
     BudgetExceededError,
     DomainError,
     InvariantViolationError,
+    ScaledRow,
     TheoremViolationError,
     clusteron,
     explore,
@@ -66,16 +68,38 @@ def test_forced_play_gives_a_point_mass():
 def test_fast_and_generic_paths_agree():
     starts = [clusteron(parts, start=5) for n in range(2, 7) for parts in compositions(n)]
     starts += [clusteron(parts) for parts in ((6, 1), (4, 3), (7, 1))]  # widest excursions
-    starts += [flat_clusteron(n) for n in (7, 8)]
-    starts += [parse_state(text) for text in ("1011", "1001111", "10101", "141", "22", "1201@-2")]
+    starts += [flat_clusteron(n) for n in (7, 8, 9)]
+    starts += [
+        parse_state(text)
+        for text in ("1011", "1001111", "10101", "141", "22", "1201@-2", "2112", "1311")
+    ]
     for s in starts:
         assert final_distribution(s).mass == _graph_distribution(explore(s)), s.text()
+
+
+def test_states_reached_at_several_depths_merge_exactly():
+    # A pending mass N / base^e keeps its exponent per state: contributions that
+    # arrive along paths of different lengths are lifted by a power of base.
+    for text in ("11111", "211"):
+        g = explore(parse_state(text))
+        layers = [{g.initial}]
+        while layers[-1]:
+            layers.append({t for s in layers[-1] for t in g.edges[s]})
+        reached = Counter(s for layer in layers for s in layer)
+        assert any(reached[s] > 1 for s in g.nodes if g.edges[s]), text
+        assert any(reached[s] > 1 for s in g.finals), text
+        assert final_distribution(g.initial).mass == _graph_distribution(g), text
+    # 3/6 + 5/36 and 3/36 + 5/6, whichever side holds the smaller exponent
+    assert probability._add_mass((3, 1), 5, 2, 6) == (23, 2)
+    assert probability._add_mass((3, 2), 5, 1, 6) == (33, 2)
+    assert probability._add_mass(None, 5, 1, 6) == (5, 1)
 
 
 def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
     monkeypatch.setattr(probability, "_MARGIN", 0)
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         final_distribution(flat_clusteron(3))
+    monkeypatch.setattr(probability, "_FLAT_MARGIN", 0)
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         monte_carlo_counts(3, 10, seed=0)
 
@@ -83,7 +107,7 @@ def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
         def __mul__(self, n):
             return n // 2
 
-    monkeypatch.setattr(probability, "_MARGIN", HalfMargin(1))
+    monkeypatch.setattr(probability, "_FLAT_MARGIN", HalfMargin(1))
     for seed in range(40):  # no playout may drop an occupant past an end silently
         with pytest.raises(InvariantViolationError, match="end of the 12-room window"):
             monte_carlo_counts(6, 1, seed)
@@ -157,6 +181,15 @@ def test_window_recurrence_rebuilds_each_row(rows):
         stepped = window_recurrence_step(rows[n - 1])
         assert stepped.n == n
         assert stepped.values == rows[n].values
+
+
+def test_rows_past_the_goldens_follow_the_recurrence_from_golden_row_nine():
+    half = golden_scaled_rows()[9]
+    w = len(half) - 1
+    row = ScaledRow(9, {k: half[w - abs(k)] for k in range(-w, w + 1)})
+    for n in (10, 11):
+        row = window_recurrence_step(row)
+        assert scaled_row(n) == row, n
 
 
 def test_monte_carlo_is_seed_and_shard_deterministic():
