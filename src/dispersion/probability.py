@@ -4,10 +4,9 @@ Moves are drawn uniformly at random among the available ones.  The
 distribution over final centered sumtroids is computed exactly with
 rational arithmetic: no float enters any published number.
 
-One engine serves every start: a state is one integer holding room j's
-count in bits b*j .. b*j+b-1 (a bit mask when b = 1).  A move adds
-B^l + B^r and removes B^i + B^(i+1) with r >= i+2 and B = 2^b >= 2, so
-increasing key order is a topological order of the move graph.
+One engine serves every start: the DP runs on the packed keys and the
+successor kernel of :mod:`.reachability`, whose increasing key order is
+a topological order of the move graph.
 """
 from __future__ import annotations
 
@@ -22,9 +21,10 @@ from fractions import Fraction
 from math import factorial, lcm
 from pathlib import Path
 
-from .errors import BudgetExceededError, DomainError, InvariantViolationError, TheoremViolationError
-from .reachability import DEFAULT_NODE_BUDGET, ReachGraph
-from .states import RoomState, entropy, flat_clusteron, state_from_positions, sumtroid
+from .errors import BudgetExceededError, DomainError, TheoremViolationError
+from .reachability import DEFAULT_NODE_BUDGET, _MARGIN, _packed_move, _packed_successors
+from .reachability import _unpack, _window, _window_error
+from .states import RoomState, flat_clusteron, sumtroid
 
 
 def row_half_width(n: int) -> int:
@@ -45,70 +45,9 @@ def shadow_of_sumtroid(n: int, k: int) -> int:
     return kp
 
 
-# ---------------------------------------------------------------------------
-# packed-count engine: room floor+j holds its count in bits b*j .. b*j+b-1
-
-# Spare rooms per occupant on each side of the start.  Over all 510 compositions
-# of 2..9 the widest excursion is 12 rooms: (8, 1) leftwards, (7, 2) rightwards.
-_MARGIN = 2
 # The sampler plays flat starts only, whose occupants never move more than n - 1
 # rooms; n spare rooms keep keys below 2^30 up to n = 10.
 _FLAT_MARGIN = 1
-
-
-def _packed_successors(key: int, b: int, digits: int) -> list[int]:
-    """One key per available move, for a state clear of the window's ends.
-
-    ``digits`` sets the low bit of every field in the window.  Move
-    targets are empty rooms, so no count ever outgrows its b bits.
-    """
-    occ = key
-    for t in range(1, b):
-        occ |= key >> t
-    occ &= digits
-    empty = digits ^ occ
-    pairs = occ & (occ >> b)
-    out = []
-    while pairs:
-        low = pairs & -pairs
-        pairs ^= low
-        out.append(_packed_move(key, low, b, empty))
-    return out
-
-
-def _packed_move(key: int, low: int, b: int, empty: int) -> int:
-    """Fire the pair at bit ``low``: each occupant takes its nearest ``empty`` room or drops."""
-    below = empty & (low - 1)
-    above = empty & -(low << 2 * b)
-    return key - low - (low << b) + (1 << below.bit_length() >> 1) + (above & -above)
-
-
-def _window(initial: RoomState, margin: int) -> tuple[int, int, int, int, int, int]:
-    """b, first room, width, start key, digits and ends of the start's window.
-
-    The window holds ``margin`` spare rooms on each side of the start.
-    """
-    b = max(initial.occupancy).bit_length()
-    width = 2 * margin + len(initial.occupancy)
-    field = (1 << b) - 1
-    digits = ((1 << b * width) - 1) // field  # the low bit of every room's field
-    ends = field | field << b * (width - 1)  # the window's first and last room
-    start = sum(c << b * (margin + j) for j, c in enumerate(initial.occupancy))
-    return b, initial.offset - margin, width, start, digits, ends
-
-
-def _window_error(key: int, b: int, floor: int, width: int) -> InvariantViolationError:
-    state = _unpack(key, b, floor).text()
-    return InvariantViolationError(f"{state} reaches an end of the {width}-room window")
-
-
-def _unpack(key: int, b: int, floor: int) -> RoomState:
-    rooms: list[int] = []
-    while key:
-        rooms += [floor] * (key & ((1 << b) - 1))
-        key >>= b
-        floor += 1
-    return state_from_positions(rooms)
 
 
 # ---------------------------------------------------------------------------
@@ -205,28 +144,6 @@ def _add_mass(held: tuple[int, int] | None, num: int, e: int, base: int) -> tupl
     if f < e:
         return m * base ** (e - f) + num, e
     return m + num * base ** (f - e), f
-
-
-def _graph_distribution(g: ReachGraph) -> dict[int, Fraction]:
-    """Reference for :func:`final_distribution`: the same push over a graph.
-
-    Entropy order is a topological order of the move graph, so every
-    state after the start has its pending mass by the time it is popped.
-    """
-    k0 = sumtroid(g.initial)
-    pending: dict[RoomState, Fraction] = {g.initial: Fraction(1)}
-    mass: dict[int, Fraction] = {}
-    for s in sorted(g.nodes, key=entropy):
-        p = pending.pop(s)
-        edges = g.edges[s]
-        if not edges:
-            k = sumtroid(s) - k0
-            mass[k] = mass.get(k, Fraction(0)) + p
-            continue
-        share = p / len(edges)
-        for t in edges:
-            pending[t] = pending.get(t, Fraction(0)) + share
-    return mass
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, DomainError, TheoremViolationError
+from .errors import BudgetExceededError, DomainError, InvariantViolationError, TheoremViolationError
 from .states import (
     FinalShadowId,
     Move,
@@ -61,7 +61,7 @@ class ReachGraph:
         return depth
 
 
-def _bfs(start: Hashable, step: Callable[[Hashable], tuple], node_budget: int) -> ReachGraph:
+def _bfs(start: Hashable, step: Callable[[Hashable], Sequence], node_budget: int) -> ReachGraph:
     """Breadth-first closure of ``start`` under ``step``, deduplicated.
 
     Raises :class:`BudgetExceededError` when more than ``node_budget``
@@ -82,15 +82,98 @@ def _bfs(start: Hashable, step: Callable[[Hashable], tuple], node_budget: int) -
     return ReachGraph(start, tuple(edges), edges)
 
 
+# ---------------------------------------------------------------------------
+# packed-count kernel, shared with the exact DP: room floor+j holds its count in
+# bits b*j .. b*j+b-1 (a bit mask when b = 1).  A move adds B^l + B^r and removes
+# B^i + B^(i+1) with r >= i+2 and B = 2^b >= 2, so increasing key order is a
+# topological order of the move graph.
+
+# Spare rooms per occupant on each side of the start.  Over all 510 compositions
+# of 2..9 the widest excursion is 12 rooms: (8, 1) leftwards, (7, 2) rightwards.
+_MARGIN = 2
+
+
+def _packed_successors(key: int, b: int, digits: int) -> list[int]:
+    """One key per available move, for a state clear of the window's ends.
+
+    ``digits`` sets the low bit of every field in the window.  Move
+    targets are empty rooms, so no count ever outgrows its b bits.
+    Successors come low bit first, which is left-to-right pair order,
+    the order of :func:`available_moves`.
+    """
+    occ = key
+    for t in range(1, b):
+        occ |= key >> t
+    occ &= digits
+    empty = digits ^ occ
+    pairs = occ & (occ >> b)
+    out = []
+    while pairs:
+        low = pairs & -pairs
+        pairs ^= low
+        out.append(_packed_move(key, low, b, empty))
+    return out
+
+
+def _packed_move(key: int, low: int, b: int, empty: int) -> int:
+    """Fire the pair at bit ``low``: each occupant takes its nearest ``empty`` room or drops."""
+    below = empty & (low - 1)
+    above = empty & -(low << 2 * b)
+    return key - low - (low << b) + (1 << below.bit_length() >> 1) + (above & -above)
+
+
+def _window(initial: RoomState, margin: int) -> tuple[int, int, int, int, int, int]:
+    """b, first room, width, start key, digits and ends of the start's window.
+
+    The window holds ``margin`` spare rooms on each side of the start.
+    """
+    b = max(initial.occupancy).bit_length()
+    width = 2 * margin + len(initial.occupancy)
+    field = (1 << b) - 1
+    digits = ((1 << b * width) - 1) // field  # the low bit of every room's field
+    ends = field | field << b * (width - 1)  # the window's first and last room
+    start = sum(c << b * (margin + j) for j, c in enumerate(initial.occupancy))
+    return b, initial.offset - margin, width, start, digits, ends
+
+
+def _window_error(key: int, b: int, floor: int, width: int) -> InvariantViolationError:
+    state = _unpack(key, b, floor).text()
+    return InvariantViolationError(f"{state} reaches an end of the {width}-room window")
+
+
+def _unpack(key: int, b: int, floor: int) -> RoomState:
+    """The state of a nonzero key whose lowest field is room ``floor``."""
+    skip = ((key & -key).bit_length() - 1) // b  # empty rooms below the first occupant
+    key >>= b * skip
+    field = (1 << b) - 1
+    counts = []
+    while key:
+        counts.append(key & field)
+        key >>= b
+    return RoomState(floor + skip, tuple(counts))
+
+
 def explore(initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET) -> ReachGraph:
     """The move graph of ``initial``: one successor per available move.
 
-    Raises :class:`BudgetExceededError` when more than ``node_budget``
-    states are reachable.
+    The search runs over packed keys on the exact DP's window, _MARGIN * n
+    spare rooms per side; each distinct key is then built into one
+    :class:`RoomState`.  Raises :class:`BudgetExceededError` when more
+    than ``node_budget`` states are reachable, and
+    :class:`InvariantViolationError` when a state reaches the first or
+    last room of the window.
     """
-    return _bfs(
-        initial, lambda s: tuple(apply_move(s, m) for m in available_moves(s)), node_budget
-    )
+    b, floor, width, start, digits, ends = _window(initial, _MARGIN * initial.total)
+
+    def step(key: int) -> list[int]:
+        if key & ends:
+            raise _window_error(key, b, floor, width)
+        return _packed_successors(key, b, digits)
+
+    packed = _bfs(start, step, node_budget).edges
+    state = {key: _unpack(key, b, floor) for key in packed}
+    edges = {state[key]: tuple(map(state.__getitem__, succ)) for key, succ in packed.items()}
+    return ReachGraph(state[start], tuple(edges), edges)
 
 
 def final_shadow_set(g: ReachGraph) -> frozenset[FinalShadowId]:

@@ -1,7 +1,8 @@
 """Shared fixtures; the expensive exact objects are built once per session."""
 import pytest
 
-from dispersion import explore, flat_clusteron
+from dispersion import apply_move, available_moves, explore, flat_clusteron
+from dispersion.reachability import DEFAULT_NODE_BUDGET, _bfs
 from dispersion.verify import RunContext
 
 
@@ -21,3 +22,17 @@ def rows(verify_context):
 def flat_graphs():
     """Reachability graphs of flat clusterons for sizes 1..7."""
     return {n: explore(flat_clusteron(n)) for n in range(1, 8)}
+
+
+@pytest.fixture(scope="session")
+def reference_explore():
+    """The move graph built through ``available_moves``/``apply_move``.
+
+    It shares only the BFS with :func:`explore`, not the packed successor
+    kernel, so tests can hold the packed search and the exact DP against it.
+    """
+
+    def step(s):
+        return tuple(apply_move(s, m) for m in available_moves(s))
+
+    return lambda s: _bfs(s, step, DEFAULT_NODE_BUDGET)

@@ -14,6 +14,7 @@ from dispersion import (
     ScaledRow,
     TheoremViolationError,
     clusteron,
+    entropy,
     explore,
     final_distribution,
     flat_clusteron,
@@ -30,15 +31,37 @@ from dispersion import (
     scaled_row,
     shadow_of_sumtroid,
     shadow_probabilities,
+    sumtroid,
     sumtroid_to_lx,
     window_bounds,
     window_recurrence_step,
     zero_pattern_check,
     zero_residue,
 )
-from dispersion import probability
-from dispersion.probability import _graph_distribution
+from dispersion import probability, reachability
 from dispersion.verify import compositions
+
+
+def _graph_distribution(g):
+    """Reference for :func:`final_distribution`: the same push over a graph.
+
+    Entropy order is a topological order of the move graph, so every
+    state after the start has its pending mass by the time it is popped.
+    """
+    k0 = sumtroid(g.initial)
+    pending = {g.initial: Fraction(1)}
+    mass: dict[int, Fraction] = {}
+    for s in sorted(g.nodes, key=entropy):
+        p = pending.pop(s)
+        edges = g.edges[s]
+        if not edges:
+            k = sumtroid(s) - k0
+            mass[k] = mass.get(k, Fraction(0)) + p
+            continue
+        share = p / len(edges)
+        for t in edges:
+            pending[t] = pending.get(t, Fraction(0)) + share
+    return mass
 
 
 def test_flat_four_distribution_matches_the_frozen_masses():
@@ -65,7 +88,7 @@ def test_forced_play_gives_a_point_mass():
     assert dist.mass == {0: Fraction(1)}
 
 
-def test_fast_and_generic_paths_agree():
+def test_fast_and_generic_paths_agree(reference_explore):
     starts = [clusteron(parts, start=5) for n in range(2, 7) for parts in compositions(n)]
     starts += [clusteron(parts) for parts in ((6, 1), (4, 3), (7, 1))]  # widest excursions
     starts += [flat_clusteron(n) for n in (7, 8, 9)]
@@ -74,14 +97,14 @@ def test_fast_and_generic_paths_agree():
         for text in ("1011", "1001111", "10101", "141", "22", "1201@-2", "2112", "1311")
     ]
     for s in starts:
-        assert final_distribution(s).mass == _graph_distribution(explore(s)), s.text()
+        assert final_distribution(s).mass == _graph_distribution(reference_explore(s)), s.text()
 
 
-def test_states_reached_at_several_depths_merge_exactly():
+def test_states_reached_at_several_depths_merge_exactly(reference_explore):
     # A pending mass N / base^e keeps its exponent per state: contributions that
     # arrive along paths of different lengths are lifted by a power of base.
     for text in ("11111", "211"):
-        g = explore(parse_state(text))
+        g = reference_explore(parse_state(text))
         layers = [{g.initial}]
         while layers[-1]:
             layers.append({t for s in layers[-1] for t in g.edges[s]})
@@ -99,6 +122,9 @@ def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
     monkeypatch.setattr(probability, "_MARGIN", 0)
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         final_distribution(flat_clusteron(3))
+    monkeypatch.setattr(reachability, "_MARGIN", 0)
+    with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
+        explore(flat_clusteron(3))
     monkeypatch.setattr(probability, "_FLAT_MARGIN", 0)
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         monte_carlo_counts(3, 10, seed=0)

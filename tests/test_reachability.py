@@ -33,6 +33,8 @@ from dispersion import (
     sumtroid,
     verify_locked_in_equivalence,
 )
+from dispersion import reachability
+from dispersion.verify import compositions
 
 
 def test_flat_four_graph_has_known_shape(flat_graphs):
@@ -58,15 +60,23 @@ def test_depths_are_the_fewest_moves_to_each_state(n, flat_graphs):
     assert all(depth[t] == 1 + min(depth[s] for s in ps) for t, ps in parents.items())
 
 
-@pytest.mark.parametrize(
-    "start",
-    [flat_clusteron(n) for n in range(2, 7)] + [parse_state("141"), parse_state("1201@-2")],
-    ids=lambda s: s.text(),
-)
-def test_edges_hold_the_successors_in_move_order(start):
-    g = explore(start)
-    for s in g.nodes:
-        assert g.edges[s] == tuple(apply_move(s, m) for m in available_moves(s))
+_REFERENCE_STARTS = {
+    s.text(): s
+    for s in [flat_clusteron(n) for n in range(1, 9)]
+    + [clusteron(parts) for n in range(2, 8) for parts in compositions(n)]
+    + [
+        parse_state(text)
+        for text in ("1011", "1001111", "10101", "141", "22", "2112", "1311", "1201@-2")
+    ]
+}
+
+
+@pytest.mark.parametrize("start", _REFERENCE_STARTS.values(), ids=_REFERENCE_STARTS.keys())
+def test_edges_hold_the_successors_in_move_order(start, reference_explore):
+    g, ref = explore(start), reference_explore(start)
+    assert g.initial == ref.initial
+    assert g.nodes == ref.nodes
+    assert g.edges == ref.edges
     assert g.finals == tuple(s for s in g.nodes if is_final(s))
 
 
@@ -74,6 +84,16 @@ def test_explore_respects_its_node_budget():
     with pytest.raises(BudgetExceededError) as exc:
         explore(flat_clusteron(7), node_budget=25)
     assert exc.value.budget == 25
+    assert len(explore(parse_state("141"), node_budget=316).nodes) == 316
+    with pytest.raises(BudgetExceededError):
+        explore(parse_state("141"), node_budget=315)
+
+
+@pytest.mark.parametrize("text", ["11111@-3", "22", "141", "1[12]01@-2"])
+def test_packed_keys_decode_to_their_state(text):
+    s = parse_state(text)
+    b, floor, _, start, _, _ = reachability._window(s, reachability._MARGIN * s.total)
+    assert reachability._unpack(start, b, floor) == s
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
