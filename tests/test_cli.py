@@ -193,6 +193,7 @@ def test_usage_errors_exit_two(capsys):
         ["mc", "--n", "0"],
         ["mc", "--n", "-3"],
         ["mc", "--n", "2", "--samples", "-5"],
+        ["mc", "--n", "4", "--seed", "-1"],
         ["perms", "--n", "0"],
         ["perms", "--n", "-1"],
         ["mc", "--n", "1"],

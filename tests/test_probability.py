@@ -240,6 +240,47 @@ def test_monte_carlo_sample_stream_is_pinned():
     }
 
 
+def test_a_stream_that_overflows_the_successor_memo_is_pinned():
+    # 1,000 samples of size 10 visit 12,206 states, past the memo's cap, so
+    # later steps draw from the pair mask and fire with _packed_move
+    assert probability._MC_MEMO_STATES < 12_206
+    assert monte_carlo_counts(10, 1000, seed=1) == {
+        -26: 1, -23: 2, -22: 2, -21: 3, -20: 4, -19: 3, -18: 5, -17: 7, -16: 12,
+        -14: 11, -13: 13, -12: 21, -11: 26, -10: 35, -9: 32, -8: 40, -7: 34,
+        -6: 44, -4: 48, -3: 50, -2: 51, -1: 54, 0: 51, 1: 35, 2: 51, 3: 50,
+        4: 45, 6: 32, 7: 42, 8: 29, 9: 27, 10: 28, 11: 26, 12: 19, 13: 13,
+        14: 8, 16: 13, 17: 6, 18: 12, 19: 5, 20: 4, 22: 3, 23: 1, 24: 2,
+    }
+
+
+@pytest.mark.parametrize("cap", [0, 1, probability._MC_MEMO_STATES])
+def test_the_memo_cap_does_not_change_the_stream(monkeypatch, cap):
+    # cap 0 plays every step from the pair mask, 1 mixes both paths from the
+    # first sample on, and the default memoises every state of size 7
+    monkeypatch.setattr(probability, "_MC_MEMO_STATES", cap)
+    assert monte_carlo_counts(7, 200, seed=11) == {
+        -12: 1, -11: 2, -10: 2, -9: 3, -8: 4, -6: 2, -5: 12, -4: 21, -3: 19, -2: 12,
+        -1: 18, 1: 22, 2: 14, 3: 18, 4: 14, 5: 15, 6: 6, 8: 4, 9: 4, 10: 2, 11: 1,
+        12: 2, 13: 1, 15: 1,
+    }
+
+    class HalfMargin(int):  # n // 2 spare rooms per side, too few for a flat 6
+        def __mul__(self, n):
+            return n // 2
+
+    monkeypatch.setattr(probability, "_FLAT_MARGIN", HalfMargin(1))
+    for seed in range(40):  # on either path, a dropped occupant must not pass silently
+        with pytest.raises(InvariantViolationError, match="end of the 12-room window"):
+            monte_carlo_counts(6, 1, seed)
+
+
+def test_negative_seeds_are_rejected():
+    # Random seeds with |seed|, so seed -1 would replay seed 0 backwards
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        monte_carlo_counts(4, 10, seed=-1)
+    assert sum(monte_carlo_counts(4, 10, seed=0).values()) == 10
+
+
 def test_monte_carlo_hits_only_legal_sumtroids(rows):
     counts = monte_carlo_counts(6, 300, seed=3)
     legal = {k for k in rows[6].values if rows[6].value(k)}
