@@ -57,6 +57,7 @@ from .reachability import (
     DEFAULT_NODE_BUDGET,
     FinalPlacement,
     ReachGraph,
+    crowded_states,
     displacements,
     earliest_gap_decrease,
     explore,

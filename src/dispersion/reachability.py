@@ -291,27 +291,6 @@ def verify_locked_in_equivalence(g: ReachGraph) -> tuple[str, ...]:
     )
 
 
-def _side_is_narrow(s: RoomState, room: int, step: int) -> bool:
-    """Walk from the fired pair past its run; is the bounding gap size 1?
-
-    ``room`` is the first room beyond the pair, ``step`` is -1 or +1.
-    A border (no further occupant) and any gap of two or more count as
-    wide.  The run containing the pair extends one room into the gap
-    when fired, so only 1-gaps disappear.
-    """
-    r = room
-    while s.count(r) > 0:
-        r += step
-    # r is the first empty room; the gap runs until the next occupant
-    size = 0
-    while s.leftmost <= r <= s.rightmost:
-        if s.count(r) > 0:
-            return size == 1
-        size += 1
-        r += step
-    return False  # border
-
-
 def gap_delta_class(s: RoomState, m: Move) -> int:
     """Classify how the move changes the gap count: +1, 0 or -1.
 
@@ -323,10 +302,8 @@ def gap_delta_class(s: RoomState, m: Move) -> int:
     if not s.single_occupancy:
         raise DomainError("gap classes are defined on single-occupancy states")
     validate_move(s, m, DomainError)
-    narrow_sides = _side_is_narrow(s, m.left_room - 1, -1) + _side_is_narrow(
-        s, m.left_room + 2, +1
-    )
-    predicted = 1 - narrow_sides
+    # a side merges away a 1-gap exactly when the room beyond its target is occupied
+    predicted = 1 - (s.count(m.left_target - 1) > 0) - (s.count(m.right_target + 1) > 0)
     actual = len(gaps(apply_move(s, m))) - len(gaps(s))
     if predicted != actual:
         raise TheoremViolationError(
@@ -335,19 +312,39 @@ def gap_delta_class(s: RoomState, m: Move) -> int:
     return predicted
 
 
-def earliest_gap_decrease(g: ReachGraph) -> int | None:
-    """Smallest move number (1-based) at which a -1 gap event can occur."""
-    depth = g.depths()
-    best: int | None = None
-    for s in g.nodes:
-        if not s.single_occupancy:
-            continue
-        for m in available_moves(s):
-            if gap_delta_class(s, m) == -1:
-                move_number = depth[s] + 1
-                if best is None or move_number < best:
-                    best = move_number
-    return best
+def earliest_gap_decrease(initial: RoomState) -> int | None:
+    """Smallest move number (1-based) at which a -1 gap event can occur.
+
+    The breadth-first search expands nothing past the first state with a
+    -1 move: depths never decrease in discovery order.
+    """
+    found = []
+
+    def step(s: RoomState) -> tuple[RoomState, ...]:
+        if found:
+            return ()
+        moves = available_moves(s)
+        if s.single_occupancy and -1 in (gap_delta_class(s, m) for m in moves):
+            found.append(s)
+            return ()
+        return tuple(apply_move(s, m) for m in moves)
+
+    g = _bfs(initial, step, DEFAULT_NODE_BUDGET)
+    return g.depths()[found[0]] + 1 if found else None
+
+
+def crowded_states(initial: RoomState) -> tuple[RoomState, ...]:
+    """The reachable states with a crowded room, in discovery order.
+
+    Moves fill only empty rooms, so a single-occupancy state leads only
+    to single-occupancy states; the search does not expand it.
+    """
+
+    def step(s: RoomState) -> tuple[RoomState, ...]:
+        return () if s.single_occupancy else tuple(apply_move(s, m) for m in available_moves(s))
+
+    nodes = _bfs(initial, step, DEFAULT_NODE_BUDGET).nodes
+    return tuple(s for s in nodes if not s.single_occupancy)
 
 
 @dataclass(frozen=True)
@@ -416,10 +413,13 @@ def run_policy(
     """Play moves to a final state; returns the full trajectory.
 
     Policies: "leftmost" and "rightmost" take the extreme available
-    move, "random" draws uniformly with a seeded generator.
+    move, "random" draws uniformly with a seeded generator.  A negative
+    seed would replay |seed|, so it is rejected.
     """
     if policy not in ("leftmost", "rightmost", "random"):
         raise DomainError(f"unknown policy {policy!r}")
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     path = [initial]
     while moves := available_moves(path[-1]):

@@ -4,12 +4,7 @@ Each claim is one check function, registered once with its suite, its
 check id and a plain-language statement of the claim.  A run shares one
 :class:`RunContext`, whose memo builds each exact row and tree table once.
 Each suite sweeps sizes up to its limit in ``DEFAULT_MAX_N``, set so that
-a full run takes seconds; ``max_n`` replaces every limit but two:
-``locked.gap-decrease-bound`` and ``locked.no-crowded-isolated-room``
-stop at clusterons of size 6 whatever ``max_n`` says.  Their sweeps
-explore every composition of each size, and size 7 would add about 6 s
-to the default run (2..7 costs 5.9 s and 1.35 s, against 0.71 s and
-0.16 s for 2..6, on a 2-CPU box with Python 3.11).
+a full run takes seconds; ``max_n`` replaces every suite's limit.
 """
 from __future__ import annotations
 
@@ -40,6 +35,7 @@ from .probability import (
     zero_residue,
 )
 from .reachability import (
+    crowded_states,
     earliest_gap_decrease,
     explore,
     final_shadow_set,
@@ -471,11 +467,12 @@ def gap_classes(ctx: RunContext, top: int) -> str:
 )
 def gap_decrease_bound(ctx: RunContext, top: int) -> str:
     earliest = {}
-    for n in sizes(2, max(min(top, 6), 4)):  # the (2, 1, 1) example needs 4
+    hi = max(top, 4)  # the (2, 1, 1) example needs 4
+    for n in sizes(2, hi):
         for parts in compositions(n):
             if len(parts) == 1:
                 continue
-            e = earliest_gap_decrease(explore(clusteron(parts)))
+            e = earliest_gap_decrease(clusteron(parts))
             if e is not None:
                 earliest[parts] = e
     assert min(earliest.values()) == 3, min(earliest.values())
@@ -486,7 +483,7 @@ def gap_decrease_bound(ctx: RunContext, top: int) -> str:
         step = [t for t in successors if t.pattern() == pattern]
         assert step, pattern
         path.append(step[0])
-    return "tight at move 3; worked three-move path drops 3 gaps to 2"
+    return f"tight at move 3, clusterons up to size {hi}; worked three-move path drops 3 gaps to 2"
 
 
 @check(
@@ -496,14 +493,14 @@ def gap_decrease_bound(ctx: RunContext, top: int) -> str:
 )
 def no_crowded_isolated_room(ctx: RunContext, top: int) -> str:
     states = 0
-    for n in sizes(2, min(top, 6)):
+    for n in sizes(2, top):
         for parts in compositions(n):
             s0 = clusteron(parts)
-            for s in explore(s0).nodes:
+            for s in crowded_states(s0):
                 if s != s0:
                     assert not has_crowded_isolated_room(s), (parts, s.text())
                     states += 1
-    return f"{states} reached states, clusterons up to size {min(top, 6)}"
+    return f"{states} reached crowded states, clusterons up to size {top}"
 
 
 # ---------------------------------------------------------------------------

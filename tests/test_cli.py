@@ -187,6 +187,7 @@ def test_usage_errors_exit_two(capsys):
         ["moves", "--state", "zzz"],
         ["no-such-command"],
         ["run", "--state", "12", "--policy", "sideways"],
+        ["run", "--state", "12", "--policy", "random", "--seed", "-7"],
         ["prob", "--n", "0", "--scaled"],
         ["verify", "--seed", "99", "--cache-dir", "/nonexistent"],
         ["moves", "--state", "\u0661\u0661"],

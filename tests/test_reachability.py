@@ -11,6 +11,7 @@ from dispersion import (
     apply_move,
     available_moves,
     clusteron,
+    crowded_states,
     displacements,
     earliest_gap_decrease,
     explore,
@@ -187,10 +188,62 @@ def test_gap_classes_reject_unavailable_moves():
             gap_delta_class(s, m)
 
 
+def test_gap_classes_hold_on_every_move_reached_from_small_clusterons():
+    states = {
+        s
+        for n in range(2, 7)
+        for parts in compositions(n)
+        for s in explore(clusteron(parts)).nodes
+        if s.single_occupancy
+    }
+    seen = set()
+    for s in states:
+        for m in available_moves(s):
+            delta = gap_delta_class(s, m)
+            assert len(gaps(apply_move(s, m))) - len(gaps(s)) == delta
+            seen.add(delta)
+    assert seen == {-1, 0, 1}
+
+
 def test_gap_decreases_start_at_move_three():
-    assert earliest_gap_decrease(explore(clusteron((2, 1, 1)))) == 3
-    assert earliest_gap_decrease(explore(flat_clusteron(5))) == 4
-    assert earliest_gap_decrease(explore(flat_clusteron(2))) is None
+    assert earliest_gap_decrease(clusteron((2, 1, 1))) == 3
+    assert earliest_gap_decrease(flat_clusteron(5)) == 4
+    assert earliest_gap_decrease(flat_clusteron(2)) is None
+
+
+def _full_graph_earliest_gap_decrease(g):
+    """Reference: every move of every single-occupancy node, read off the graph's edges."""
+    depth = g.depths()
+    best = None
+    for s in g.nodes:
+        if not s.single_occupancy:
+            continue
+        for t in g.edges[s]:
+            if len(gaps(t)) - len(gaps(s)) == -1:
+                move_number = depth[s] + 1
+                if best is None or move_number < best:
+                    best = move_number
+    return best
+
+
+_SMALL_CLUSTERONS = {
+    "flat": [flat_clusteron(n) for n in range(2, 9)],
+    **{f"compositions of {n}": [clusteron(p) for p in compositions(n)] for n in range(2, 8)},
+}
+
+
+@pytest.mark.parametrize("starts", _SMALL_CLUSTERONS.values(), ids=_SMALL_CLUSTERONS.keys())
+def test_earliest_gap_decrease_matches_the_full_graph_search(starts):
+    for s in starts:
+        assert earliest_gap_decrease(s) == _full_graph_earliest_gap_decrease(explore(s)), s.text()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_crowded_states_are_the_crowded_nodes_of_the_graph(n):
+    for parts in compositions(n):
+        s = clusteron(parts)
+        expected = tuple(t for t in explore(s).nodes if not t.single_occupancy)
+        assert crowded_states(s) == expected, parts
 
 
 def test_adjacent_final_shadows_merge_into_one():
