@@ -26,7 +26,6 @@ from .states import (
     apply_move_labeled,
     available_moves,
     centered_sumtroid,
-    centroid,
     classify_final_shadow,
     clusteron,
     entropy,
@@ -35,10 +34,8 @@ from .states import (
     gaps,
     has_crowded_isolated_room,
     is_final,
-    is_proper_final,
     parse_state,
     shadow,
-    span,
     state_from_positions,
     sumtroid,
 )

@@ -26,13 +26,7 @@ from .probability import (
     scaled_row,
     shadow_of_sumtroid,
 )
-from .reachability import (
-    DEFAULT_NODE_BUDGET,
-    explore,
-    export_dot,
-    placement_of,
-    run_policy,
-)
+from .reachability import explore, export_dot, placement_of, run_policy
 from .states import available_moves, flat_clusteron, parse_state, sumtroid
 from .trees import RTable, r_table_bruteforce, r_table_recursive
 from .verify import reports_to_json, reports_to_text, run_suites, SUITES
@@ -98,7 +92,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
         labels=args.labels,
         half=args.half,
         prune_locked_in=args.dedup_locked,
-        node_budget=args.node_budget,
     )
     _write(args, dot)
     return 0
@@ -106,7 +99,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_finals(args: argparse.Namespace) -> int:
     s = parse_state(args.state)
-    g = explore(s, args.node_budget)
+    g = explore(s)
     k0 = sumtroid(s)
     rows = []
     for f in sorted(g.finals, key=lambda f: sumtroid(f)):
@@ -137,12 +130,10 @@ def cmd_finals(args: argparse.Namespace) -> int:
 
 
 def cmd_prob(args: argparse.Namespace) -> int:
-    if args.cache_dir is not None and not args.scaled:
-        raise DomainError("--cache-dir caches scaled rows only; add --scaled")
     if args.scaled:
-        row = scaled_row(args.n, cache_dir=args.cache_dir, node_budget=args.node_budget)
+        row = scaled_row(args.n)
     else:
-        row = final_distribution(flat_clusteron(args.n), args.node_budget)
+        row = final_distribution(flat_clusteron(args.n))
     if args.format == "csv":
         _write(args, row_to_csv(row))
     else:
@@ -259,9 +250,6 @@ def _parser() -> argparse.ArgumentParser:
     def add_state(p: argparse.ArgumentParser) -> None:
         p.add_argument("--state", required=True, help="room pattern, e.g. 1111 or 1[12]01@-2")
 
-    def add_budget(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-
     def add_format(p: argparse.ArgumentParser, choices=("text", "json", "csv")) -> None:
         p.add_argument("--format", choices=choices, default=choices[0])
         p.add_argument("--out", help="write output to this file instead of stdout")
@@ -274,7 +262,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="play one trajectory to a final state")
     add_state(p)
     p.add_argument("--policy", choices=("leftmost", "rightmost", "random"), default="leftmost")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="seed of --policy random (default 0)")
     add_format(p, ("text", "json"))
     p.set_defaults(func=cmd_run)
 
@@ -288,21 +276,17 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="prune children of states whose sumtroid can no longer change",
     )
-    add_budget(p)
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("finals", help="list all reachable final placements")
     add_state(p)
-    add_budget(p)
     add_format(p, ("text", "json"))
     p.set_defaults(func=cmd_finals)
 
     p = sub.add_parser("prob", help="exact final-sumtroid distribution of a flat start")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--scaled", action="store_true", help="multiply by (n-1)! into integers")
-    p.add_argument("--cache-dir", default=None)
-    add_budget(p)
     add_format(p, ("json", "csv"))
     p.set_defaults(func=cmd_prob)
 

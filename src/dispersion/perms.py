@@ -12,7 +12,7 @@ from itertools import permutations
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
-from .trees import Cell, RecursiveTree, RTable, r_table_bruteforce, tree_stats
+from .trees import Cell, RecursiveTree, RTable, enumerate_trees, r_table_bruteforce, tree_stats
 
 
 class PermStats(NamedTuple):
@@ -171,8 +171,6 @@ def perm_count_checks(
 def roundtrip_check(n: int) -> bool:
     """tree -> word -> tree is the identity and the statistics match:
     special descents = leaves - 1 and last value = path end."""
-    from .trees import enumerate_trees
-
     for t in enumerate_trees(n):
         word = tree_to_perm(t)
         if perm_to_tree(word) != t:

@@ -81,15 +81,13 @@ class SumtroidDistribution:
             raise TheoremViolationError(f"masses sum to {total}, not 1")
 
 
-def final_distribution(
-    initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET
-) -> SumtroidDistribution:
+def final_distribution(initial: RoomState) -> SumtroidDistribution:
     """Distribution of the final sumtroid change under uniform play.
 
     Forward pass in increasing key order, keeping one pending probability
-    per frontier state; ``node_budget`` caps the states processed.  The
-    window has _MARGIN * n spare rooms on each side of the start; a state
-    in its first or last room raises :class:`InvariantViolationError`
+    per frontier state; ``DEFAULT_NODE_BUDGET`` caps the states processed.
+    The window has _MARGIN * n spare rooms on each side of the start; a
+    state in its first or last room raises :class:`InvariantViolationError`
     before any move could leave it.
 
     A pending mass is an integer pair (N, e) meaning N / base^e, with
@@ -106,13 +104,14 @@ def final_distribution(
     pending: dict[int, tuple[int, int]] = {start: (1, 0)}
     heap = [start]
     mass: dict[int, tuple[int, int]] = {}
+    budget = DEFAULT_NODE_BUDGET
     processed = 0
     while heap:
         key = heapq.heappop(heap)
         num, e = pending.pop(key)
         processed += 1
-        if processed > node_budget:
-            raise BudgetExceededError(node_budget)
+        if processed > budget:
+            raise BudgetExceededError(budget)
         if key & ends:
             raise _window_error(key, b, floor, width)
         succ = _packed_successors(key, b, digits)
@@ -196,11 +195,7 @@ def _row_from_distribution(dist: SumtroidDistribution) -> ScaledRow:
     return ScaledRow(n, values)
 
 
-def scaled_row(
-    n: int,
-    cache_dir: str | Path | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> ScaledRow:
+def scaled_row(n: int, cache_dir: str | Path | None = None) -> ScaledRow:
     """Scaled distribution row for the flat clusteron of size n.
 
     When a cache directory is given, rows are stored there as JSON and
@@ -214,7 +209,7 @@ def scaled_row(
         cached = _load_cached_row(cache / f"row_N{n}_scaled.json", n)
         if cached is not None:
             return cached
-    row = _row_from_distribution(final_distribution(flat_clusteron(n), node_budget))
+    row = _row_from_distribution(final_distribution(flat_clusteron(n)))
     row.check_symmetry()
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
@@ -285,14 +280,14 @@ def lx_to_sumtroid(n: int, ell: int, x: int) -> int:
 
 
 def window_bounds(n: int, k: int) -> tuple[int, int]:
-    """Inclusive window of previous-row sumtroids feeding cell k of row n."""
-    m = zero_residue(n)
-    a = Fraction((k + m) // n) - Fraction(1 + (-1) ** n, 4)
-    lo = Fraction(k) - Fraction(n - 1, 2) - a
-    hi = Fraction(k) + Fraction(n - 1, 2) - a - 1
-    if lo.denominator != 1 or hi.denominator != 1:
-        raise TheoremViolationError(f"window bounds not integral at n={n}, k={k}")
-    return int(lo), int(hi)
+    """Inclusive window of previous-row sumtroids feeding cell k of row n.
+
+    The paper's form is lo = k - (n-1)/2 - a and hi = lo + n - 2, with
+    a = floor((k + m)/n) - (1 + (-1)^n)/4 and m = zero_residue(n).  Since
+    (n-1)/2 - (1 + (-1)^n)/4 = (n-1) // 2, both bounds are integers.
+    """
+    lo = k - (k + zero_residue(n)) // n - (n - 1) // 2
+    return lo, lo + n - 2
 
 
 def window_recurrence_step(prev: ScaledRow) -> ScaledRow:

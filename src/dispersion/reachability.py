@@ -153,13 +153,13 @@ def _unpack(key: int, b: int, floor: int) -> RoomState:
     return RoomState(floor + skip, tuple(counts))
 
 
-def explore(initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET) -> ReachGraph:
+def explore(initial: RoomState) -> ReachGraph:
     """The move graph of ``initial``: one successor per available move.
 
     The search runs over packed keys on the exact DP's window, _MARGIN * n
     spare rooms per side; each distinct key is then built into one
     :class:`RoomState`.  Raises :class:`BudgetExceededError` when more
-    than ``node_budget`` states are reachable, and
+    than ``DEFAULT_NODE_BUDGET`` states are reachable, and
     :class:`InvariantViolationError` when a state reaches the first or
     last room of the window.
     """
@@ -170,7 +170,7 @@ def explore(initial: RoomState, node_budget: int = DEFAULT_NODE_BUDGET) -> Reach
             raise _window_error(key, b, floor, width)
         return _packed_successors(key, b, digits)
 
-    packed = _bfs(start, step, node_budget).edges
+    packed = _bfs(start, step, DEFAULT_NODE_BUDGET).edges
     state = {key: _unpack(key, b, floor) for key in packed}
     edges = {state[key]: tuple(map(state.__getitem__, succ)) for key, succ in packed.items()}
     return ReachGraph(state[start], tuple(edges), edges)
@@ -413,14 +413,17 @@ def run_policy(
     """Play moves to a final state; returns the full trajectory.
 
     Policies: "leftmost" and "rightmost" take the extreme available
-    move, "random" draws uniformly with a seeded generator.  A negative
-    seed would replay |seed|, so it is rejected.
+    move, "random" draws uniformly with a generator seeded with ``seed``
+    (0 when not given).  A seed is rejected with any other policy, where
+    it would do nothing, and when negative, since it would replay |seed|.
     """
     if policy not in ("leftmost", "rightmost", "random"):
         raise DomainError(f"unknown policy {policy!r}")
+    if seed is not None and policy != "random":
+        raise DomainError(f"a seed applies only to the random policy, not {policy!r}")
     if seed is not None and seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    rng = random.Random(seed)
+    rng = random.Random(0 if seed is None else seed)
     path = [initial]
     while moves := available_moves(path[-1]):
         if policy == "leftmost":
@@ -458,7 +461,6 @@ def export_dot(
     labels: str = "pattern",
     half: str = "full",
     prune_locked_in: bool = False,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> str:
     """Render the move tree or deduplicated move graph as DOT text.
 
@@ -466,7 +468,9 @@ def export_dot(
     ``half`` restricts the root to the left or right half of its moves
     (mirror symmetry makes the other half redundant for flat starts).
     ``prune_locked_in`` drops all children of locked-in states, which
-    keep their sumtroid forever and add no information.
+    keep their sumtroid forever and add no information.  Both the graph
+    and a tree are capped at ``DEFAULT_NODE_BUDGET`` nodes; a tree is
+    counted before any line is built.
     """
     if mode not in ("tree", "dag"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -475,7 +479,8 @@ def export_dot(
     if half not in ("full", "left", "right"):
         raise DomainError(f"unknown half {half!r}")
 
-    g = explore(initial, node_budget)
+    budget = DEFAULT_NODE_BUDGET
+    g = explore(initial)
     locked = locked_in_map(g) if prune_locked_in else {}
 
     def label(s: RoomState) -> str:
@@ -491,7 +496,7 @@ def export_dot(
 
     lines = ["digraph dispersion {", "  node [shape=box];"]
     if mode == "dag":
-        kept = _bfs(initial, children, node_budget)
+        kept = _bfs(initial, children, budget)
         for s in kept.nodes:
             lines.append(f'  {_dot_id(s.text())} [label="{label(s)}"];')
         for s in kept.nodes:
@@ -501,8 +506,8 @@ def export_dot(
         size: dict[RoomState, int] = {}  # tree nodes under each state, itself included
         for s in sorted(g.nodes, key=entropy, reverse=True):
             size[s] = 1 + sum(size[t] for t in children(s))
-        if size[initial] > node_budget:
-            raise BudgetExceededError(node_budget)
+        if size[initial] > budget:
+            raise BudgetExceededError(budget)
         taken: dict[str, int] = {}
 
         def emit(s: RoomState, parent_id: str | None) -> None:

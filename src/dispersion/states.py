@@ -74,10 +74,6 @@ class RoomState:
         return sum(self.occupancy)
 
     @property
-    def leftmost(self) -> int:
-        return self.offset
-
-    @property
     def rightmost(self) -> int:
         return self.offset + len(self.occupancy) - 1
 
@@ -140,19 +136,19 @@ def state_from_positions(positions: Iterator[int]) -> RoomState:
     return RoomState(pos[0], tuple(counts))
 
 
-def flat_clusteron(n: int, start: int = 0) -> RoomState:
-    """n single occupants in consecutive rooms start..start+n-1."""
+def flat_clusteron(n: int) -> RoomState:
+    """n single occupants in consecutive rooms 0..n-1."""
     if n < 1:
         raise MalformedStateError("need at least one occupant")
-    return RoomState(start, (1,) * n)
+    return RoomState(0, (1,) * n)
 
 
-def clusteron(parts: Iterator[int], start: int = 0) -> RoomState:
-    """Consecutive occupied rooms with the given counts (all positive)."""
+def clusteron(parts: Iterator[int]) -> RoomState:
+    """Consecutive occupied rooms from room 0 with the given counts (all positive)."""
     counts = tuple(parts)
     if not counts or any(c < 1 for c in counts):
         raise MalformedStateError(f"clusteron parts must be positive: {counts!r}")
-    return RoomState(start, counts)
+    return RoomState(0, counts)
 
 
 @dataclass(frozen=True)
@@ -216,15 +212,6 @@ def is_final(s: RoomState) -> bool:
     """True when no adjacent pair of rooms is occupied."""
     occ = s.occupancy
     return not any(occ[j] and occ[j + 1] for j in range(len(occ) - 1))
-
-
-def is_proper_final(s: RoomState) -> bool:
-    """Final with every room holding at most one occupant.
-
-    A lone crowded room ("2") is final but not proper: it has no moves
-    yet keeps more than one occupant in place.
-    """
-    return s.single_occupancy and is_final(s)
 
 
 def has_crowded_isolated_room(s: RoomState) -> bool:
@@ -328,24 +315,14 @@ def sumtroid(s: RoomState) -> int:
     return sum(c * room for room, c in zip(s.rooms(), s.occupancy))
 
 
-def centered_sumtroid(s: RoomState, flat_start: int = 0) -> int:
-    """Sumtroid relative to a flat clusteron at flat_start..flat_start+N-1.
+def centered_sumtroid(s: RoomState) -> int:
+    """Sumtroid relative to the flat clusteron at rooms 0..N-1.
 
     That start state has centered sumtroid 0, and every move changes the
     value by exactly ``right_nbhd - left_nbhd``, keeping it an integer.
     """
     n = s.total
-    return sumtroid(s) - n * (n - 1) // 2 - n * flat_start
-
-
-def centroid(s: RoomState) -> Fraction:
-    """Mean room index of the occupants, exact."""
-    return Fraction(sumtroid(s), s.total)
-
-
-def span(s: RoomState) -> int:
-    """Number of rooms from leftmost to rightmost occupied, inclusive."""
-    return len(s.occupancy)
+    return sumtroid(s) - n * (n - 1) // 2
 
 
 def gaps(s: RoomState | Shadow) -> tuple[int, ...]:

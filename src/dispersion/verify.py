@@ -278,7 +278,7 @@ def entropy_increase(ctx: RunContext, top: int) -> str:
 )
 def labeled_pushing(ctx: RunContext, top: int) -> str:
     moves = 0
-    for n in sizes(2, min(top, 5)):
+    for n in sizes(2, top):
         g = explore(flat_clusteron(n))
         for s in g.nodes:
             ls = LabeledState.from_state(s)
@@ -287,7 +287,7 @@ def labeled_pushing(ctx: RunContext, top: int) -> str:
                 assert pushed.to_state() == t, (s.text(), m)
                 assert pushed.positions == tuple(sorted(pushed.positions))
                 moves += 1
-    return f"{moves} labeled moves cross-checked"
+    return f"{moves} labeled moves cross-checked, flat starts up to {top}"
 
 
 @check(

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from dispersion import cli
+from dispersion import cli, probability, reachability
 from dispersion.verify import CheckResult, VerifyReport
 
 
@@ -51,6 +51,12 @@ def test_run_is_deterministic_for_a_seed(capsys):
     _, first = run_cli(capsys, "run", "--state", "11111", "--policy", "random", "--seed", "9")
     _, second = run_cli(capsys, "run", "--state", "11111", "--policy", "random", "--seed", "9")
     assert first == second
+
+
+def test_random_play_without_a_seed_uses_seed_zero(capsys):
+    _, unseeded = run_cli(capsys, "run", "--state", "11111", "--policy", "random")
+    _, zero = run_cli(capsys, "run", "--state", "11111", "--policy", "random", "--seed", "0")
+    assert unseeded == zero
 
 
 def test_graph_writes_dot(capsys, tmp_path):
@@ -188,6 +194,7 @@ def test_usage_errors_exit_two(capsys):
         ["no-such-command"],
         ["run", "--state", "12", "--policy", "sideways"],
         ["run", "--state", "12", "--policy", "random", "--seed", "-7"],
+        ["run", "--state", "12", "--seed", "5"],
         ["prob", "--n", "0", "--scaled"],
         ["verify", "--seed", "99", "--cache-dir", "/nonexistent"],
         ["moves", "--state", "\u0661\u0661"],
@@ -201,17 +208,31 @@ def test_usage_errors_exit_two(capsys):
         ["perms", "--n", "3", "--last", "9"],
         ["perms", "--n", "3", "--first", "0"],
         ["prob", "--n", "4", "--cache-dir", "/nonexistent"],
+        ["prob", "--n", "4", "--scaled", "--cache-dir", "/nonexistent"],
         ["verify", "--max-n", "0"],
         ["verify", "--node-budget", "5"],
+        ["graph", "--state", "11", "--node-budget", "3"],
+        ["finals", "--state", "11", "--node-budget", "3"],
+        ["prob", "--n", "4", "--node-budget", "3"],
         ["graph", "--state", "11", "--format", "dot"],
     ):
         assert cli.main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
 
 
-def test_budget_errors_exit_three(capsys):
-    assert cli.main(["graph", "--state", "111111", "--node-budget", "3"]) == 3
-    capsys.readouterr()
+def test_budget_errors_exit_three(capsys, monkeypatch):
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 3)
+    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", 3)
+    for argv in (
+        ["graph", "--state", "111111"],
+        ["graph", "--state", "111111", "--mode", "dag"],
+        ["finals", "--state", "111111"],
+        ["prob", "--n", "6"],
+        ["prob", "--n", "6", "--scaled"],
+    ):
+        assert cli.main(argv) == 3, argv
+        assert "budget exceeded" in capsys.readouterr().err
+    monkeypatch.undo()
     # 1,160 states, but a tree of 550,887,617 nodes: counted before any line is built
     assert cli.main(["graph", "--state", "21301", "--mode", "tree"]) == 3
     capsys.readouterr()

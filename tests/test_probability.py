@@ -11,6 +11,7 @@ from dispersion import (
     BudgetExceededError,
     DomainError,
     InvariantViolationError,
+    RoomState,
     ScaledRow,
     TheoremViolationError,
     clusteron,
@@ -77,7 +78,7 @@ def test_flat_four_distribution_matches_the_frozen_masses():
 
 def test_distribution_keys_are_translation_invariant():
     here = final_distribution(flat_clusteron(4))
-    there = final_distribution(flat_clusteron(4, start=37))
+    there = final_distribution(parse_state("1111@37"))
     assert here.mass == there.mass
     padded = final_distribution(parse_state("0001111000"))
     assert padded.mass == here.mass
@@ -89,7 +90,7 @@ def test_forced_play_gives_a_point_mass():
 
 
 def test_fast_and_generic_paths_agree(reference_explore):
-    starts = [clusteron(parts, start=5) for n in range(2, 7) for parts in compositions(n)]
+    starts = [RoomState(5, parts) for n in range(2, 7) for parts in compositions(n)]
     starts += [clusteron(parts) for parts in ((6, 1), (4, 3), (7, 1))]  # widest excursions
     starts += [flat_clusteron(n) for n in (7, 8, 9)]
     starts += [
@@ -200,6 +201,15 @@ def test_window_bounds_reproduce_the_documented_sums(rows):
     assert window_bounds(6, -2) == (-4, 0)
     assert sum(rows[5].value(k) for k in range(-4, 1)) == 11 == rows[6].value(-2)
     assert window_bounds(6, -4) == (-5, -1)
+
+
+@given(st.integers(2, 60), st.integers(-2000, 2000))
+def test_window_bounds_equal_the_papers_fraction_form(n, k):
+    a = Fraction((k + zero_residue(n)) // n) - Fraction(1 + (-1) ** n, 4)
+    lo = Fraction(k) - Fraction(n - 1, 2) - a
+    hi = Fraction(k) + Fraction(n - 1, 2) - a - 1
+    assert window_bounds(n, k) == (lo, hi)
+    assert lo.denominator == 1 and hi - lo == n - 2
 
 
 def test_window_recurrence_rebuilds_each_row(rows):
@@ -331,16 +341,23 @@ def test_cache_roundtrip_and_corruption_recovery(tmp_path):
     assert fourth == first
 
 
-def test_node_budget_is_enforced():
-    with pytest.raises(BudgetExceededError):
-        final_distribution(flat_clusteron(9), node_budget=50)
-    with pytest.raises(BudgetExceededError):
-        final_distribution(parse_state("011110"), node_budget=4)
+def test_node_budget_is_enforced(monkeypatch):
     crowded = parse_state("141")
     states = len(explore(crowded).nodes)  # the budget counts states processed
+    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", 50)
+    with pytest.raises(BudgetExceededError) as exc:
+        final_distribution(flat_clusteron(9))
+    assert exc.value.budget == 50
     with pytest.raises(BudgetExceededError):
-        final_distribution(crowded, node_budget=states - 1)
-    final_distribution(crowded, node_budget=states)
+        scaled_row(9)
+    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", 4)
+    with pytest.raises(BudgetExceededError):
+        final_distribution(parse_state("011110"))
+    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", states - 1)
+    with pytest.raises(BudgetExceededError):
+        final_distribution(crowded)
+    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", states)
+    final_distribution(crowded)
 
 
 @settings(max_examples=25, deadline=None)

@@ -81,13 +81,16 @@ def test_edges_hold_the_successors_in_move_order(start, reference_explore):
     assert g.finals == tuple(s for s in g.nodes if is_final(s))
 
 
-def test_explore_respects_its_node_budget():
+def test_explore_respects_its_node_budget(monkeypatch):
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 25)
     with pytest.raises(BudgetExceededError) as exc:
-        explore(flat_clusteron(7), node_budget=25)
+        explore(flat_clusteron(7))
     assert exc.value.budget == 25
-    assert len(explore(parse_state("141"), node_budget=316).nodes) == 316
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 316)
+    assert len(explore(parse_state("141")).nodes) == 316
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 315)
     with pytest.raises(BudgetExceededError):
-        explore(parse_state("141"), node_budget=315)
+        explore(parse_state("141"))
 
 
 @pytest.mark.parametrize("text", ["11111@-3", "22", "141", "1[12]01@-2"])
@@ -304,9 +307,11 @@ def test_dot_export_modes():
     "n, options, nodes",
     [(4, {}, 20), (5, {"half": "left"}, 102), (6, {"prune_locked_in": True}, 1284)],
 )
-def test_dot_tree_budget_counts_the_emitted_tree(n, options, nodes):
+def test_dot_tree_budget_counts_the_emitted_tree(monkeypatch, n, options, nodes):
     # each tree outgrows its graph (18, 72 and 274 states): the budget bounds the tree exactly
-    tree = export_dot(flat_clusteron(n), mode="tree", node_budget=nodes, **options)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", nodes)
+    tree = export_dot(flat_clusteron(n), mode="tree", **options)
     assert tree.count("label=") == nodes
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", nodes - 1)
     with pytest.raises(BudgetExceededError):
-        export_dot(flat_clusteron(n), mode="tree", node_budget=nodes - 1, **options)
+        export_dot(flat_clusteron(n), mode="tree", **options)

@@ -14,7 +14,6 @@ from dispersion import (
     apply_move_labeled,
     available_moves,
     centered_sumtroid,
-    centroid,
     classify_final_shadow,
     clusteron,
     entropy,
@@ -23,10 +22,8 @@ from dispersion import (
     gaps,
     has_crowded_isolated_room,
     is_final,
-    is_proper_final,
     parse_state,
     shadow,
-    span,
     state_from_positions,
     sumtroid,
 )
@@ -80,7 +77,7 @@ def test_positions_rebuild_the_state(s):
 
 def test_clusteron_builders():
     assert flat_clusteron(4).pattern() == "1111"
-    assert flat_clusteron(3, start=2).text() == "111@2"
+    assert flat_clusteron(3).text() == "111"
     assert clusteron((1, 2)).pattern() == "12"
     with pytest.raises(MalformedStateError):
         clusteron((1, 0, 1))
@@ -137,9 +134,9 @@ def test_finality_means_no_moves(s):
     assert is_final(s) == (not available_moves(s))
 
 
-def test_proper_final_needs_single_occupancy():
-    assert is_proper_final(parse_state("10101"))
-    assert is_final(parse_state("2")) and not is_proper_final(parse_state("2"))
+def test_finals_include_a_lone_crowded_room():
+    assert is_final(parse_state("10101"))
+    assert is_final(parse_state("2"))
     assert not is_final(parse_state("11"))
 
 
@@ -174,8 +171,6 @@ def test_entropy_is_exact_for_negative_rooms():
 def test_scalar_invariants_on_a_sample():
     s = parse_state("110101@-2")
     assert sumtroid(s) == -2 - 1 + 1 + 3
-    assert centroid(s) == Fraction(1, 4)
-    assert span(s) == 6
     assert gaps(s) == (1, 1)
 
 
@@ -184,7 +179,7 @@ def test_centered_sumtroid_is_translation_covariant(s, shift):
     t = RoomState(s.offset + shift, s.occupancy)
     n = s.total
     assert centered_sumtroid(t) == centered_sumtroid(s) + n * shift
-    assert centered_sumtroid(flat_clusteron(n, start=shift), flat_start=shift) == 0
+    assert centered_sumtroid(RoomState(shift, (1,) * n)) == n * shift
 
 
 def test_final_shadow_family_and_classification():
@@ -206,4 +201,4 @@ def test_shadow_ids_roundtrip(n, data):
     k = data.draw(st.integers(1, n - 1))
     f = FinalShadowId(n, k)
     assert classify_final_shadow(f.to_shadow()) == f
-    assert f.to_state(leftmost=5).leftmost == 5
+    assert f.to_state(leftmost=5).offset == 5
