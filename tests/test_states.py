@@ -134,9 +134,11 @@ def test_finality_means_no_moves(s):
     assert is_final(s) == (not available_moves(s))
 
 
-def test_finals_include_a_lone_crowded_room():
-    assert is_final(parse_state("10101"))
-    assert is_final(parse_state("2"))
+def test_proper_final_needs_single_occupancy():
+    proper = parse_state("10101")
+    assert is_final(proper) and proper.single_occupancy
+    lone_crowded = parse_state("2")
+    assert is_final(lone_crowded) and not lone_crowded.single_occupancy
     assert not is_final(parse_state("11"))
 
 
