@@ -10,13 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
-from .errors import (
-    BudgetExceededError,
-    DispersionError,
-    DomainError,
-    MalformedStateError,
-)
+from .errors import BudgetExceededError, DispersionError, DomainError, MalformedStateError
 from .perms import perm_stats, perms_of
 from .probability import (
     final_distribution,
@@ -26,9 +22,16 @@ from .probability import (
     scaled_row,
     shadow_of_sumtroid,
 )
-from .reachability import explore, export_dot, placement_of, run_policy
-from .states import available_moves, flat_clusteron, parse_state, sumtroid
-from .trees import RTable, r_table_bruteforce, r_table_recursive
+from .reachability import explore, export_dot, run_policy
+from .states import (
+    available_moves,
+    classify_final_shadow,
+    flat_clusteron,
+    parse_state,
+    shadow,
+    sumtroid,
+)
+from .trees import r_table_bruteforce, r_table_recursive
 from .verify import reports_to_json, reports_to_text, run_suites, SUITES
 
 USAGE_EXIT = 2
@@ -36,53 +39,52 @@ BUDGET_EXIT = 3
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(args.out, "w")
+    except OSError as e:
+        raise ValueError(f"cannot write --out {args.out}: {e.strerror}") from e
+    with fh:
+        fh.write(text)
+
+
+def _emit(args: argparse.Namespace, payload: object, lines: list[str]) -> int:
+    """Write ``payload`` as JSON or ``lines`` as text/CSV, as --format asks."""
+    text = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines)
+    _write(args, text + "\n")
+    return 0
 
 
 def cmd_moves(args: argparse.Namespace) -> int:
-    s = parse_state(args.state)
-    moves = available_moves(s)
-    if args.format == "json":
-        payload = [
-            {
-                "pair": list(m.pair),
-                "left_target": m.left_target,
-                "right_target": m.right_target,
-                "sumtroid_delta": m.sumtroid_delta,
-            }
-            for m in moves
-        ]
-        _write(args, json.dumps(payload, indent=2) + "\n")
-        return 0
+    moves = available_moves(parse_state(args.state))
+    payload = [
+        {
+            "pair": list(m.pair),
+            "left_target": m.left_target,
+            "right_target": m.right_target,
+            "sumtroid_delta": m.sumtroid_delta,
+        }
+        for m in moves
+    ]
     lines = [
         f"pair=({m.pair[0]},{m.pair[1]}) left_target={m.left_target} "
         f"right_target={m.right_target} delta={m.sumtroid_delta:+d}"
         for m in moves
     ]
-    lines.append(f"{len(moves)} moves")
-    _write(args, "\n".join(lines) + "\n")
-    return 0
+    return _emit(args, payload, lines + [f"{len(moves)} moves"])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    path = run_policy(
-        parse_state(args.state), policy=args.policy, seed=args.seed
-    )
-    if args.format == "json":
-        payload = {
-            "policy": args.policy,
-            "trajectory": [p.text() for p in path],
-            "moves": len(path) - 1,
-            "sumtroid_change": sumtroid(path[-1]) - sumtroid(path[0]),
-        }
-        _write(args, json.dumps(payload, indent=2) + "\n")
-        return 0
-    _write(args, " -> ".join(p.pattern() for p in path) + "\n")
-    return 0
+    path = run_policy(parse_state(args.state), policy=args.policy, seed=args.seed)
+    payload = {
+        "policy": args.policy,
+        "trajectory": [p.text() for p in path],
+        "moves": len(path) - 1,
+        "sumtroid_change": sumtroid(path[-1]) - sumtroid(path[0]),
+    }
+    return _emit(args, payload, [" -> ".join(p.pattern() for p in path)])
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
@@ -99,58 +101,37 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_finals(args: argparse.Namespace) -> int:
     s = parse_state(args.state)
-    g = explore(s)
     k0 = sumtroid(s)
     rows = []
-    for f in sorted(g.finals, key=lambda f: sumtroid(f)):
-        try:
-            p = placement_of(f)
-            shadow_k = p.shadow_id.k
-        except DomainError:
-            shadow_k = None
+    for f in sorted(explore(s).finals, key=sumtroid):
+        fid = classify_final_shadow(shadow(f))
         rows.append(
             {
                 "state": f.text(),
                 "pattern": f.pattern(),
-                "shadow_k": shadow_k,
+                "shadow_k": None if fid is None else fid.k,
                 "leftmost": f.offset,
                 "sumtroid_change": sumtroid(f) - k0,
             }
         )
-    if args.format == "json":
-        _write(args, json.dumps(rows, indent=2) + "\n")
-        return 0
     lines = [
         f"{r['state']}  shadow_k={r['shadow_k']}  sumtroid={r['sumtroid_change']:+d}"
         for r in rows
     ]
-    lines.append(f"{len(rows)} final placements")
-    _write(args, "\n".join(lines) + "\n")
-    return 0
+    return _emit(args, rows, lines + [f"{len(rows)} final placements"])
 
 
 def cmd_prob(args: argparse.Namespace) -> int:
-    if args.scaled:
-        row = scaled_row(args.n)
-    else:
-        row = final_distribution(flat_clusteron(args.n))
-    if args.format == "csv":
-        _write(args, row_to_csv(row))
-    else:
-        _write(args, row_to_json(row))
+    row = scaled_row(args.n) if args.scaled else final_distribution(flat_clusteron(args.n))
+    _write(args, row_to_csv(row) if args.format == "csv" else row_to_json(row))
     return 0
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
     counts = monte_carlo_counts(args.n, args.samples, args.seed)
-    shadows: dict[int, int] = {}
+    shadows: Counter[int] = Counter()
     for k, c in counts.items():
-        shadow_k = shadow_of_sumtroid(args.n, k)
-        shadows[shadow_k] = shadows.get(shadow_k, 0) + c
-    if args.format == "csv":
-        lines = ["K,count"] + [f"{k},{c}" for k, c in counts.items()]
-        _write(args, "\n".join(lines) + "\n")
-        return 0
+        shadows[shadow_of_sumtroid(args.n, k)] += c
     payload = {
         "n": args.n,
         "samples": args.samples,
@@ -160,19 +141,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
             {"shadow_k": k, "count": shadows[k]} for k in sorted(shadows)
         ],
     }
-    _write(args, json.dumps(payload, indent=2) + "\n")
-    return 0
-
-
-def _rtable_payload(table: RTable) -> dict:
-    cells = []
-    for leaves, x in table.cells():
-        cell = {"l": leaves, "x": x, "r": table.r[(leaves, x)]}
-        if table.a is not None:
-            cell["a"] = table.a.get((leaves, x), 0)
-            cell["b"] = table.b.get((leaves, x), 0)
-        cells.append(cell)
-    return {"n": table.n, "cells": cells}
+    return _emit(args, payload, ["K,count"] + [f"{k},{c}" for k, c in counts.items()])
 
 
 def cmd_rtable(args: argparse.Namespace) -> int:
@@ -180,23 +149,16 @@ def cmd_rtable(args: argparse.Namespace) -> int:
         raise BudgetExceededError(
             args.n, "tree enumeration is capped at n=10; use --method recursion"
         )
-    table = (
-        r_table_bruteforce(args.n)
-        if args.method == "brute"
-        else r_table_recursive(args.n)
-    )
-    if args.format == "csv":
-        have_ab = table.a is not None
-        lines = ["l,x,r,a,b" if have_ab else "l,x,r"]
-        for leaves, x in table.cells():
-            row = [leaves, x, table.r[(leaves, x)]]
-            if have_ab:
-                row += [table.a.get((leaves, x), 0), table.b.get((leaves, x), 0)]
-            lines.append(",".join(map(str, row)))
-        _write(args, "\n".join(lines) + "\n")
-        return 0
-    _write(args, json.dumps(_rtable_payload(table), indent=2) + "\n")
-    return 0
+    table = (r_table_bruteforce if args.method == "brute" else r_table_recursive)(args.n)
+    # recursion tables have no a/b split: zip stops at the shorter columns
+    columns = ("l", "x", "r") if table.a is None else ("l", "x", "r", "a", "b")
+    a, b = table.a or {}, table.b or {}
+    cells = [
+        dict(zip(columns, (*cell, table.r[cell], a.get(cell, 0), b.get(cell, 0))))
+        for cell in table.cells()
+    ]
+    lines = [",".join(columns)] + [",".join(map(str, c.values())) for c in cells]
+    return _emit(args, {"n": table.n, "cells": cells}, lines)
 
 
 def cmd_perms(args: argparse.Namespace) -> int:
@@ -205,23 +167,13 @@ def cmd_perms(args: argparse.Namespace) -> int:
     for flag, value in (("--last", args.last), ("--first", args.first)):
         if value is not None and not 1 <= value <= args.n:
             raise DomainError(f"{flag} must be in 1..{args.n}, got {value}")
-    tally: dict[int, int] = {}
+    field = {"descent": "descents", "special": "special_descents", "big": "big_descents"}
+    tally: Counter[int] = Counter()
     for word in perms_of(args.n):
         st = perm_stats(word)
-        if args.last is not None and st.last != args.last:
+        if args.last not in (None, st.last) or args.first not in (None, st.first):
             continue
-        if args.first is not None and st.first != args.first:
-            continue
-        value = {
-            "descent": st.descents,
-            "special": st.special_descents,
-            "big": st.big_descents,
-        }[args.stat]
-        tally[value] = tally.get(value, 0) + 1
-    if args.format == "csv":
-        lines = [f"{args.stat},count"] + [f"{v},{tally[v]}" for v in sorted(tally)]
-        _write(args, "\n".join(lines) + "\n")
-        return 0
+        tally[getattr(st, field[args.stat])] += 1
     payload = {
         "n": args.n,
         "stat": args.stat,
@@ -229,8 +181,8 @@ def cmd_perms(args: argparse.Namespace) -> int:
         "first": args.first,
         "tally": [{"value": v, "count": tally[v]} for v in sorted(tally)],
     }
-    _write(args, json.dumps(payload, indent=2) + "\n")
-    return 0
+    lines = [f"{args.stat},count"] + [f"{v},{tally[v]}" for v in sorted(tally)]
+    return _emit(args, payload, lines)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -272,6 +272,8 @@ def lx_to_sumtroid(n: int, ell: int, x: int) -> int:
     """Inverse of :func:`sumtroid_to_lx` on its image."""
     if not (1 <= x <= n - 1):
         raise DomainError(f"x={x} out of range for n={n}")
+    if not (2 <= ell <= max(2, n - 1)):
+        raise DomainError(f"leaves={ell} out of range for n={n}")
     return -(n - 2) * (n - 1) // 2 + (ell - 2) * n + (x - 1) + min(x - 1, 1)
 
 
@@ -440,7 +442,7 @@ def row_from_json(text: str) -> ScaledRow | SumtroidDistribution:
 
 def row_to_csv(row: ScaledRow | SumtroidDistribution) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["K", "value"])
     if isinstance(row, ScaledRow):
         w = row_half_width(row.n)

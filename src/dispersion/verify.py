@@ -800,9 +800,9 @@ SUITES: dict[str, Callable[[RunContext], VerifyReport]] = {
 def run_suites(
     max_n: int | None = None, names: list[str] | None = None
 ) -> tuple[VerifyReport, ...]:
-    """Run the named suites (default: all) in canonical name order."""
-    selected = sorted(SUITES) if names is None else names
-    unknown = [s for s in selected if s not in SUITES]
+    """Run the named suites (default: all) once each, in canonical name order."""
+    selected = set(SUITES if names is None else names)
+    unknown = sorted(selected - SUITES.keys())
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
     ctx = RunContext(max_n)

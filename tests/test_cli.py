@@ -124,6 +124,23 @@ def test_rtable_bruteforce_and_recursion_agree(capsys):
     assert all("a" not in c for c in r["cells"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--n", "4"],
+        ["prob", "--n", "5", "--scaled"],
+        ["mc", "--n", "4", "--samples", "20"],
+        ["rtable", "--n", "4"],
+        ["rtable", "--n", "4", "--method", "recursion"],
+        ["perms", "--n", "3"],
+    ],
+)
+def test_csv_output_ends_lines_with_newline_only(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.endswith("\n") and "\r" not in out
+
+
 def test_rtable_csv_header(capsys):
     _, out = run_cli(capsys, "rtable", "--n", "4", "--method", "brute", "--format", "csv")
     assert out.splitlines()[0] == "l,x,r,a,b"
@@ -167,6 +184,16 @@ def test_verify_never_reads_or_writes_a_row_cache(capsys, tmp_path, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_repeated_suite_runs_once(capsys):
+    code, out = run_cli(
+        capsys, "verify", "--suite", "window", "--suite", "window", "--max-n", "5"
+    )
+    assert code == 0
+    assert "2 checks: 2 passed" in out
+    ids = re.findall(r"\b(window\.[\w-]+)", out)
+    assert ids and len(ids) == len(set(ids)) == 2, ids
+
+
 def test_verify_json_format(capsys):
     code, out = run_cli(
         capsys, "verify", "--suite", "window", "--max-n", "5", "--format", "json"
@@ -187,8 +214,10 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "x.txt")
     for argv in (
+        ["moves", "--state", "11", "--out", missing],
         ["moves"],
         ["moves", "--state", "zzz"],
         ["no-such-command"],
@@ -218,6 +247,9 @@ def test_usage_errors_exit_two(capsys):
     ):
         assert cli.main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
+    cli.main(["prob", "--n", "4", "--out", missing])
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write --out {missing}: No such file or directory\n"
 
 
 def test_budget_errors_exit_three(capsys, monkeypatch):

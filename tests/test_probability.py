@@ -193,6 +193,10 @@ def test_lx_coordinates_roundtrip_on_the_full_support(rows):
             assert lx_to_sumtroid(n, ell, x) == k
     with pytest.raises(DomainError):
         sumtroid_to_lx(4, 2)
+    assert sumtroid_to_lx(2, 0) == (2, 1) and lx_to_sumtroid(2, 2, 1) == 0
+    for n, ell, x in ((5, 99, 1), (5, 5, 1), (5, 1, 1), (2, 3, 1), (5, 2, 0), (5, 2, 5)):
+        with pytest.raises(DomainError):
+            lx_to_sumtroid(n, ell, x)
 
 
 def test_window_bounds_reproduce_the_documented_sums(rows):
