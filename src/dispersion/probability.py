@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd
 from pathlib import Path
 
 from .errors import BudgetExceededError, DomainError, TheoremViolationError
@@ -90,25 +90,25 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
     state in its first or last room raises :class:`InvariantViolationError`
     before any move could leave it.
 
-    A pending mass is an integer pair (N, e) meaning N / base^e, with
-    base = lcm(1..n-1): a state has at most n-1 adjacent occupied pairs,
-    so its move count d divides base and each successor's share is
-    (N * (base // d), e + 1).  A state can be reached at several depths,
-    so e is kept per state.  No gcd runs in the loop; each final
-    sumtroid's mass becomes one ``Fraction`` at the end.
+    Each mass is held as the integer P * D, with D one denominator for the
+    whole run, so merging masses is integer addition.  A state with d moves
+    gives each successor its mass divided by d; when d does not divide it,
+    D and every held mass first grow by :func:`_growth`.  Each final
+    sumtroid's mass becomes one ``Fraction`` over D at the end.
     """
     n = initial.total
     b, floor, width, start, digits, ends = _window(initial, _MARGIN * n)
-    base = lcm(*range(1, n))
-    quotient = [0] + [base // d for d in range(1, n)]
-    pending: dict[int, tuple[int, int]] = {start: (1, 0)}
+    denom = 1
+    step: dict[int, int] = {}
+    pending = {start: 1}
     heap = [start]
-    mass: dict[int, tuple[int, int]] = {}
+    mass: dict[int, int] = {}
     budget = DEFAULT_NODE_BUDGET
     processed = 0
+    pop, push, get = heapq.heappop, heapq.heappush, pending.get
     while heap:
-        key = heapq.heappop(heap)
-        num, e = pending.pop(key)
+        key = pop(heap)
+        num = pending.pop(key)
         processed += 1
         if processed > budget:
             raise BudgetExceededError(budget)
@@ -117,36 +117,42 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
         succ = _packed_successors(key, b, digits)
         if not succ:
             k = sumtroid(_unpack(key, b, floor)) - sumtroid(initial)
-            mass[k] = _add_mass(mass.get(k), num, e, base)
+            mass[k] = mass.get(k, 0) + num
             continue
-        share = num * quotient[len(succ)]
-        e += 1
+        share, r = divmod(num, len(succ))
+        if r:
+            factor = _growth(num, len(succ), step)
+            denom *= factor
+            for masses in (pending, mass):
+                for t in masses:
+                    masses[t] *= factor
+            share = num * factor // len(succ)
         for t in succ:
-            held = pending.get(t)
+            held = get(t)
             if held is None:
-                pending[t] = (share, e)
-                heapq.heappush(heap, t)
-            elif held[1] == e:
-                pending[t] = (held[0] + share, e)
+                pending[t] = share
+                push(heap, t)
             else:
-                pending[t] = _add_mass(held, share, e, base)
-    dist = SumtroidDistribution(
-        n, {k: Fraction(num, base**e) for k, (num, e) in mass.items()}
-    )
+                pending[t] = held + share
+    dist = SumtroidDistribution(n, {k: Fraction(num, denom) for k, num in mass.items()})
     dist.check_total()
     return dist
 
 
-def _add_mass(held: tuple[int, int] | None, num: int, e: int, base: int) -> tuple[int, int]:
-    """held + num / base^e, lifting the smaller exponent to the larger."""
-    if held is None:
-        return num, e
-    m, f = held
-    if f == e:
-        return m + num, e
-    if f < e:
-        return m * base ** (e - f) + num, e
-    return m + num * base ** (f - e), f
+def _growth(num: int, d: int, step: dict[int, int]) -> int:
+    """The factor by which D grows so that d divides num times it.
+
+    Each growth multiplies by p^a for every prime p of d // gcd(num, d), where
+    ``step`` holds a per prime: it starts at 1 and doubles at each growth.
+    """
+    factor = 1
+    while (need := d // gcd(num * factor, d)) > 1:
+        for p in range(2, need + 1):
+            if need % p == 0 and all(p % q for q in range(2, p)):
+                a = step.get(p, 1)
+                step[p] = 2 * a
+                factor *= p**a
+    return factor
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,8 @@ def _bfs(start: Hashable, step: Callable[[Hashable], Sequence], node_budget: int
 # packed-count kernel, shared with the exact DP: room floor+j holds its count in
 # bits b*j .. b*j+b-1 (a bit mask when b = 1).  A move adds B^l + B^r and removes
 # B^i + B^(i+1) with r >= i+2 and B = 2^b >= 2, so increasing key order is a
-# topological order of the move graph.
+# topological order of the move graph.  Every pair i in a maximal run a..z of
+# occupied rooms moves to l = a-1 and r = z+1, so one sum serves the whole run.
 
 # Spare rooms per occupant on each side of the start.  Over all 510 compositions
 # of 2..9 the widest excursion is 12 rooms: (8, 1) leftwards, (7, 2) rightwards.
@@ -94,7 +95,7 @@ _MARGIN = 2
 
 
 def _packed_successors(key: int, b: int, digits: int) -> list[int]:
-    """One key per available move, for a state clear of the window's ends.
+    """One key per available move; an occupant with no empty room on its side drops.
 
     ``digits`` sets the low bit of every field in the window.  Move
     targets are empty rooms, so no count ever outgrows its b bits.
@@ -105,13 +106,18 @@ def _packed_successors(key: int, b: int, digits: int) -> list[int]:
     for t in range(1, b):
         occ |= key >> t
     occ &= digits
-    empty = digits ^ occ
-    pairs = occ & (occ >> b)
+    pairs = (occ & (occ >> b)) * ((1 << b) - 1)  # each pair's low field all ones
     out = []
     while pairs:
-        low = pairs & -pairs
-        pairs ^= low
-        out.append(_packed_move(key, low, b, empty))
+        low = pairs & -pairs  # B^a: the run's first pair
+        rest = pairs + low  # the carry past the run's pairs lands on B^z
+        pairs = rest & (rest - 1)
+        above = (rest ^ pairs) << b
+        run = key + (low >> b) + (above & digits)
+        move = low + (low << b)
+        while move < above:
+            out.append(run - move)
+            move <<= b
     return out
 
 

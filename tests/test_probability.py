@@ -95,15 +95,15 @@ def test_fast_and_generic_paths_agree(reference_explore):
     starts += [flat_clusteron(n) for n in (7, 8, 9)]
     starts += [
         parse_state(text)
-        for text in ("1011", "1001111", "10101", "141", "22", "1201@-2", "2112", "1311")
+        for text in ("1011", "1001111", "10101", "141", "22", "1201@-2", "2112", "1311", "18")
     ]
     for s in starts:
         assert final_distribution(s).mass == _graph_distribution(reference_explore(s)), s.text()
 
 
 def test_states_reached_at_several_depths_merge_exactly(reference_explore):
-    # A pending mass N / base^e keeps its exponent per state: contributions that
-    # arrive along paths of different lengths are lifted by a power of base.
+    # Masses share one run-wide denominator, so contributions that arrive
+    # along paths of different lengths add as plain integers.
     for text in ("11111", "211"):
         g = reference_explore(parse_state(text))
         layers = [{g.initial}]
@@ -113,10 +113,13 @@ def test_states_reached_at_several_depths_merge_exactly(reference_explore):
         assert any(reached[s] > 1 for s in g.nodes if g.edges[s]), text
         assert any(reached[s] > 1 for s in g.finals), text
         assert final_distribution(g.initial).mass == _graph_distribution(g), text
-    # 3/6 + 5/36 and 3/36 + 5/6, whichever side holds the smaller exponent
-    assert probability._add_mass((3, 1), 5, 2, 6) == (23, 2)
-    assert probability._add_mass((3, 2), 5, 1, 6) == (33, 2)
-    assert probability._add_mass(None, 5, 1, 6) == (5, 1)
+    # From D = 1, a share of 1 over 8 needs two growths, by 2 then 2^2; over 9, by 3
+    # then 3^2.  A share that already divides leaves D alone.
+    step: dict[int, int] = {}
+    assert probability._growth(1, 8, step) == 2 * 2**2 and step == {2: 4}
+    step = {}
+    assert probability._growth(1, 9, step) == 3 * 3**2 and step == {3: 4}
+    assert probability._growth(6, 6, step) == 1 and step == {3: 4}
 
 
 def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):

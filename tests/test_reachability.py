@@ -67,7 +67,7 @@ _REFERENCE_STARTS = {
     + [clusteron(parts) for n in range(2, 8) for parts in compositions(n)]
     + [
         parse_state(text)
-        for text in ("1011", "1001111", "10101", "141", "22", "2112", "1311", "1201@-2")
+        for text in ("1011", "1001111", "10101", "141", "22", "2112", "1311", "1201@-2", "18")
     ]
 }
 
