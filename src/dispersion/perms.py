@@ -148,10 +148,8 @@ def perm_count_checks(
             )
 
     start_two: dict[Cell, int] = {}
-    for word in perms_of(n):
-        if word[0] != 2:
-            continue
-        st = perm_stats(word)
+    for rest in permutations((1, *range(3, n + 1))):
+        st = perm_stats((2, *rest))
         cell = (st.descents + 1, st.last)
         start_two[cell] = start_two.get(cell, 0) + 1
 

@@ -22,7 +22,7 @@ from math import factorial, gcd
 from pathlib import Path
 
 from .errors import BudgetExceededError, DomainError, TheoremViolationError
-from .reachability import DEFAULT_NODE_BUDGET, _MARGIN, _packed_move, _packed_successors
+from .reachability import DEFAULT_NODE_BUDGET, _packed_move, _packed_successors
 from .reachability import _unpack, _window, _window_error
 from .states import RoomState, flat_clusteron, sumtroid
 
@@ -39,15 +39,14 @@ def zero_residue(n: int) -> int:
 
 def shadow_of_sumtroid(n: int, k: int) -> int:
     """Which final shadow F(n, k') a centered sumtroid k belongs to."""
+    if abs(k) > row_half_width(n):
+        raise DomainError(f"|k| > {row_half_width(n)} for n={n}")
     kp = (zero_residue(n) - k) % n
     if kp == 0:
         raise DomainError(f"sumtroid {k} is a structural zero for n={n}")
     return kp
 
 
-# The sampler plays flat starts only, whose occupants never move more than n - 1
-# rooms; n spare rooms keep keys below 2^30 up to n = 10.
-_FLAT_MARGIN = 1
 # The sampler memoises the successor tuples of at most this many states.  Full,
 # the memo holds about 0.9 MB at n = 10 (tracemalloc peak of 5,000 samples),
 # where a memo of all 19,765 states those samples visit holds about 4 MB.
@@ -75,20 +74,15 @@ class SumtroidDistribution:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(k for k, p in self.mass.items() if p))
 
-    def check_total(self) -> None:
-        total = sum(self.mass.values(), Fraction(0))
-        if total != 1:
-            raise TheoremViolationError(f"masses sum to {total}, not 1")
-
 
 def final_distribution(initial: RoomState) -> SumtroidDistribution:
     """Distribution of the final sumtroid change under uniform play.
 
     Forward pass in increasing key order, keeping one pending probability
     per frontier state; ``DEFAULT_NODE_BUDGET`` caps the states processed.
-    The window has _MARGIN * n spare rooms on each side of the start; a
-    state in its first or last room raises :class:`InvariantViolationError`
-    before any move could leave it.
+    The window has :func:`.reachability._spare_rooms` spare rooms on each
+    side of the start; a state in its first or last room raises
+    :class:`InvariantViolationError` before any move could leave it.
 
     Each mass is held as the integer P * D, with D one denominator for the
     whole run, so merging masses is integer addition.  A state with d moves
@@ -97,7 +91,7 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
     sumtroid's mass becomes one ``Fraction`` over D at the end.
     """
     n = initial.total
-    b, floor, width, start, digits, ends = _window(initial, _MARGIN * n)
+    b, floor, width, start, digits, ends = _window(initial)
     denom = 1
     step: dict[int, int] = {}
     pending = {start: 1}
@@ -134,9 +128,9 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
                 push(heap, t)
             else:
                 pending[t] = held + share
-    dist = SumtroidDistribution(n, {k: Fraction(num, denom) for k, num in mass.items()})
-    dist.check_total()
-    return dist
+    if (total := sum(mass.values())) != denom:
+        raise TheoremViolationError(f"masses sum to {Fraction(total, denom)}, not 1")
+    return SumtroidDistribution(n, {k: Fraction(num, denom) for k, num in mass.items()})
 
 
 def _growth(num: int, d: int, step: dict[int, int]) -> int:
@@ -324,10 +318,9 @@ def window_recurrence_step(prev: ScaledRow) -> ScaledRow:
 def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
     """Sampled final sumtroid changes of the flat clusteron of size n.
 
-    Sample i plays the DP's packed move on a window of _FLAT_MARGIN * n
-    spare rooms per side (narrower than the DP's), firing at each step
-    the ``randrange(count)``-th adjacent pair from the low end (no draw
-    for a single pair).  One generator is reseeded with
+    Sample i plays the DP's packed move on the DP's window, firing at
+    each step the ``randrange(count)``-th adjacent pair from the low end
+    (no draw for a single pair).  One generator is reseeded with
     ``seed*1000003 + i`` per sample, which gives the stream of
     ``Random(seed*1000003 + i)``.  The successor tuples of the first
     _MC_MEMO_STATES states visited are memoised; they come low bit first,
@@ -346,7 +339,7 @@ def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     initial = flat_clusteron(n)
-    _, floor, width, start, digits, ends = _window(initial, _FLAT_MARGIN * n)
+    _, floor, width, start, digits, ends = _window(initial)
     if start & ends:
         raise _window_error(start, 1, floor, width)
     finals: dict[int, int] = {}

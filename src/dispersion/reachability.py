@@ -89,10 +89,6 @@ def _bfs(start: Hashable, step: Callable[[Hashable], Sequence], node_budget: int
 # topological order of the move graph.  Every pair i in a maximal run a..z of
 # occupied rooms moves to l = a-1 and r = z+1, so one sum serves the whole run.
 
-# Spare rooms per occupant on each side of the start.  Over all 510 compositions
-# of 2..9 the widest excursion is 12 rooms: (8, 1) leftwards, (7, 2) rightwards.
-_MARGIN = 2
-
 
 def _packed_successors(key: int, b: int, digits: int) -> list[int]:
     """One key per available move; an occupant with no empty room on its side drops.
@@ -128,18 +124,31 @@ def _packed_move(key: int, low: int, b: int, empty: int) -> int:
     return key - low - (low << b) + (1 << below.bit_length() >> 1) + (above & -above)
 
 
-def _window(initial: RoomState, margin: int) -> tuple[int, int, int, int, int, int]:
+def _spare_rooms(initial: RoomState) -> int:
+    """Spare rooms on each side of the start's window: n when flat, else 2n.
+
+    No occupant of a flat start moves more than n - 1 rooms, and n spare
+    rooms keep its keys below 2^30 up to n = 10.  Over all 1,022 compositions
+    of 2..10 no state reaches more than 1.4 n rooms past an end of the start;
+    the widest excursion, 14 rooms, comes from 31 starts of 10 such as (9, 1).
+    """
+    n = initial.total
+    return n if initial.occupancy == (1,) * n else 2 * n
+
+
+def _window(initial: RoomState) -> tuple[int, int, int, int, int, int]:
     """b, first room, width, start key, digits and ends of the start's window.
 
-    The window holds ``margin`` spare rooms on each side of the start.
+    The window holds :func:`_spare_rooms` spare rooms on each side of the start.
     """
+    spare = _spare_rooms(initial)
     b = max(initial.occupancy).bit_length()
-    width = 2 * margin + len(initial.occupancy)
+    width = 2 * spare + len(initial.occupancy)
     field = (1 << b) - 1
     digits = ((1 << b * width) - 1) // field  # the low bit of every room's field
     ends = field | field << b * (width - 1)  # the window's first and last room
-    start = sum(c << b * (margin + j) for j, c in enumerate(initial.occupancy))
-    return b, initial.offset - margin, width, start, digits, ends
+    start = sum(c << b * (spare + j) for j, c in enumerate(initial.occupancy))
+    return b, initial.offset - spare, width, start, digits, ends
 
 
 def _window_error(key: int, b: int, floor: int, width: int) -> InvariantViolationError:
@@ -162,14 +171,14 @@ def _unpack(key: int, b: int, floor: int) -> RoomState:
 def explore(initial: RoomState) -> ReachGraph:
     """The move graph of ``initial``: one successor per available move.
 
-    The search runs over packed keys on the exact DP's window, _MARGIN * n
-    spare rooms per side; each distinct key is then built into one
+    The search runs over packed keys on the exact DP's window (see
+    :func:`_spare_rooms`); each distinct key is then built into one
     :class:`RoomState`.  Raises :class:`BudgetExceededError` when more
     than ``DEFAULT_NODE_BUDGET`` states are reachable, and
     :class:`InvariantViolationError` when a state reaches the first or
     last room of the window.
     """
-    b, floor, width, start, digits, ends = _window(initial, _MARGIN * initial.total)
+    b, floor, width, start, digits, ends = _window(initial)
 
     def step(key: int) -> list[int]:
         if key & ends:

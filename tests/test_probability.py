@@ -122,22 +122,24 @@ def test_states_reached_at_several_depths_merge_exactly(reference_explore):
     assert probability._growth(6, 6, step) == 1 and step == {3: 4}
 
 
+def test_masses_that_miss_the_denominator_raise(monkeypatch):
+    # never growing D truncates every share that does not divide
+    monkeypatch.setattr(probability, "_growth", lambda num, d, step: 1)
+    with pytest.raises(TheoremViolationError, match="masses sum to 0, not 1"):
+        final_distribution(flat_clusteron(3))
+
+
 def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
-    monkeypatch.setattr(probability, "_MARGIN", 0)
+    monkeypatch.setattr(reachability, "_spare_rooms", lambda s: 0)
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         final_distribution(flat_clusteron(3))
-    monkeypatch.setattr(reachability, "_MARGIN", 0)
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         explore(flat_clusteron(3))
-    monkeypatch.setattr(probability, "_FLAT_MARGIN", 0)
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         monte_carlo_counts(3, 10, seed=0)
 
-    class HalfMargin(int):  # n // 2 spare rooms per side, too few for a flat 6
-        def __mul__(self, n):
-            return n // 2
-
-    monkeypatch.setattr(probability, "_FLAT_MARGIN", HalfMargin(1))
+    # n // 2 spare rooms per side, too few for a flat 6
+    monkeypatch.setattr(reachability, "_spare_rooms", lambda s: s.total // 2)
     for seed in range(40):  # no playout may drop an occupant past an end silently
         with pytest.raises(InvariantViolationError, match="end of the 12-room window"):
             monte_carlo_counts(6, 1, seed)
@@ -176,6 +178,9 @@ def test_shadows_of_a_flat_start_are_uniform():
 def test_shadow_of_sumtroid_rejects_the_zero_residue():
     with pytest.raises(DomainError):
         shadow_of_sumtroid(4, 2)
+    for k in (4, 99):  # row 4 has half-width 3
+        with pytest.raises(DomainError):
+            shadow_of_sumtroid(4, k)
     assert shadow_of_sumtroid(4, 1) == 1
     assert shadow_of_sumtroid(4, -3) == 1
     assert shadow_of_sumtroid(4, 3) == 3
@@ -281,11 +286,8 @@ def test_the_memo_cap_does_not_change_the_stream(monkeypatch, cap):
         12: 2, 13: 1, 15: 1,
     }
 
-    class HalfMargin(int):  # n // 2 spare rooms per side, too few for a flat 6
-        def __mul__(self, n):
-            return n // 2
-
-    monkeypatch.setattr(probability, "_FLAT_MARGIN", HalfMargin(1))
+    # n // 2 spare rooms per side, too few for a flat 6
+    monkeypatch.setattr(reachability, "_spare_rooms", lambda s: s.total // 2)
     for seed in range(40):  # on either path, a dropped occupant must not pass silently
         with pytest.raises(InvariantViolationError, match="end of the 12-room window"):
             monte_carlo_counts(6, 1, seed)

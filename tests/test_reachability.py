@@ -96,8 +96,19 @@ def test_explore_respects_its_node_budget(monkeypatch):
 @pytest.mark.parametrize("text", ["11111@-3", "22", "141", "1[12]01@-2"])
 def test_packed_keys_decode_to_their_state(text):
     s = parse_state(text)
-    b, floor, _, start, _, _ = reachability._window(s, reachability._MARGIN * s.total)
+    b, floor, _, start, _, _ = reachability._window(s)
     assert reachability._unpack(start, b, floor) == s
+
+
+def test_flat_windows_spare_n_rooms_per_side_and_others_2n():
+    for text in ("11", "111111", "11111@-3"):
+        s = parse_state(text)
+        _, floor, width, _, _, _ = reachability._window(s)
+        assert (floor, width) == (s.offset - s.total, 3 * s.total)
+    for text in ("2", "22", "141", "101", "1[12]01@-2"):
+        s = parse_state(text)
+        _, floor, width, _, _, _ = reachability._window(s)
+        assert (floor, width) == (s.offset - 2 * s.total, 4 * s.total + len(s.occupancy))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
