@@ -6,7 +6,9 @@ rational arithmetic: no float enters any published number.
 
 One engine serves every start: the DP runs on the packed keys and the
 successor kernel of :mod:`.reachability`, whose increasing key order is
-a topological order of the move graph.
+a topological order of the move graph.  On a single-occupancy start that
+is its own mirror, every flat start among them, it holds one mass per
+mirror pair of states.
 """
 from __future__ import annotations
 
@@ -89,9 +91,22 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
     gives each successor its mass divided by d; when d does not divide it,
     D and every held mass first grow by :func:`_growth`.  Each final
     sumtroid's mass becomes one ``Fraction`` over D at the end.
+
+    The DP folds when each room holds at most one occupant (b = 1) and
+    the start key is its own :func:`_mirror`, as every flat start and 0/1
+    palindromes such as 10101 are.  Then the mirror of a move is a move
+    and a state and its mirror are equally likely, so one mass stands for
+    both under the smaller key, the budget counts these classes, and a
+    final class whose change is k != 0 gives half its mass to k and half
+    to -k.  Both keys of a pair rise along a move, so the smaller one
+    keeps the key order topological.
     """
     n = initial.total
     b, floor, width, start, digits, ends = _window(initial)
+    fold = b == 1 and _mirror(start, width) == start
+    size = (width + 7) // 8
+    pad = 8 * size - width
+    from_bytes = int.from_bytes
     denom = 1
     step: dict[int, int] = {}
     pending = {start: 1}
@@ -122,6 +137,10 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
                     masses[t] *= factor
             share = num * factor // len(succ)
         for t in succ:
+            if fold:  # inlined _mirror(t, width)
+                m = from_bytes(t.to_bytes(size, "little").translate(_REVERSED_BYTES), "big") >> pad
+                if m < t:
+                    t = m
             held = get(t)
             if held is None:
                 pending[t] = share
@@ -130,7 +149,24 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
                 pending[t] = held + share
     if (total := sum(mass.values())) != denom:
         raise TheoremViolationError(f"masses sum to {Fraction(total, denom)}, not 1")
+    if fold:  # a final pair puts half its mass on k and half on -k
+        keys = {*mass, *(-k for k in mass)}
+        return SumtroidDistribution(
+            n, {k: Fraction(mass.get(k, 0) + mass.get(-k, 0), 2 * denom) for k in keys}
+        )
     return SumtroidDistribution(n, {k: Fraction(num, denom) for k, num in mass.items()})
+
+
+# Byte i bit-reversed, for :func:`_mirror`.
+_REVERSED_BYTES = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _mirror(key: int, width: int) -> int:
+    """The b = 1 key of the state reflected in its ``width``-room window."""
+    size = (width + 7) // 8
+    return int.from_bytes(key.to_bytes(size, "little").translate(_REVERSED_BYTES), "big") >> (
+        8 * size - width
+    )
 
 
 def _growth(num: int, d: int, step: dict[int, int]) -> int:

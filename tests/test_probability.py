@@ -1,6 +1,7 @@
 """Exact final-sumtroid distributions, scaled rows, and their serialization."""
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -97,8 +98,48 @@ def test_fast_and_generic_paths_agree(reference_explore):
         parse_state(text)
         for text in ("1011", "1001111", "10101", "141", "22", "1201@-2", "2112", "1311", "18")
     ]
+    # b = 1 palindromes the DP folds by the mirror, and one start it must not fold
+    starts += [parse_state(text) for text in ("1001001", "110011", "11011", "1110111", "11101")]
     for s in starts:
         assert final_distribution(s).mass == _graph_distribution(reference_explore(s)), s.text()
+
+
+def test_mirror_is_a_bit_reversal_that_fixes_flat_starts():
+    for n in range(2, 11):
+        _, _, width, start, _, _ = reachability._window(flat_clusteron(n))
+        assert probability._mirror(start, width) == start
+    rng = random.Random(0)
+    keys = [(w, key) for w in range(1, 11) for key in range(1 << w)]
+    keys += [(w, rng.getrandbits(w)) for w in (31, 64, 100, 129) for _ in range(50)]
+    for width, key in keys:
+        m = probability._mirror(key, width)
+        assert m < 1 << width and probability._mirror(m, width) == key, (key, width)
+        assert f"{m:0{width}b}" == f"{key:0{width}b}"[::-1], (key, width)
+
+
+@pytest.mark.parametrize(
+    "text", [*("1" * n for n in range(2, 10)), "10101", "1001001", "110011", "1110111"]
+)
+def test_packed_successors_commute_with_the_mirror(text):
+    b, _, width, start, digits, _ = reachability._window(parse_state(text))
+    assert b == 1
+    mirror, succ = probability._mirror, reachability._packed_successors
+    for key in reachability._bfs(start, lambda k: succ(k, b, digits), 10**6).nodes:
+        mirrored = sorted(mirror(t, width) for t in succ(key, b, digits))
+        assert mirrored == sorted(succ(mirror(key, width), b, digits)), bin(key)
+
+
+@pytest.mark.parametrize("text", ["1101", "11101"])
+def test_a_start_that_is_not_its_own_mirror_is_not_folded(text, monkeypatch):
+    s = parse_state(text)
+    _, _, width, start, _, _ = reachability._window(s)
+    assert probability._mirror(start, width) != start
+    states = len(explore(s).nodes)  # unfolded, the budget counts every state
+    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", states - 1)
+    with pytest.raises(BudgetExceededError):
+        final_distribution(s)
+    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", states)
+    final_distribution(s)
 
 
 def test_states_reached_at_several_depths_merge_exactly(reference_explore):
@@ -367,6 +408,16 @@ def test_node_budget_is_enforced(monkeypatch):
         final_distribution(crowded)
     monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", states)
     final_distribution(crowded)
+    # A folded run counts mirror classes: a pair of states, or one state that is its own mirror.
+    flat = explore(flat_clusteron(8))
+    fixed = sum(s.positions() == tuple(7 - p for p in reversed(s.positions())) for s in flat.nodes)
+    classes = (len(flat.nodes) + fixed) // 2
+    assert (len(flat.nodes), classes) == (3255, 1641)
+    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", classes - 1)
+    with pytest.raises(BudgetExceededError):
+        final_distribution(flat_clusteron(8))
+    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", classes)
+    final_distribution(flat_clusteron(8))
 
 
 @settings(max_examples=25, deadline=None)
