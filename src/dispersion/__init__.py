@@ -60,6 +60,7 @@ from .reachability import (
     explore,
     export_dot,
     final_shadow_set,
+    final_states,
     flat_final_placements,
     gap_delta_class,
     is_spacious,

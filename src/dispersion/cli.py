@@ -22,7 +22,7 @@ from .probability import (
     scaled_row,
     shadow_of_sumtroid,
 )
-from .reachability import explore, export_dot, run_policy
+from .reachability import export_dot, final_states, run_policy
 from .states import (
     available_moves,
     classify_final_shadow,
@@ -103,7 +103,7 @@ def cmd_finals(args: argparse.Namespace) -> int:
     s = parse_state(args.state)
     k0 = sumtroid(s)
     rows = []
-    for f in sorted(explore(s).finals, key=sumtroid):
+    for f in sorted(final_states(s), key=sumtroid):
         fid = classify_final_shadow(shadow(f))
         rows.append(
             {

@@ -168,6 +168,18 @@ def _unpack(key: int, b: int, floor: int) -> RoomState:
     return RoomState(floor + skip, tuple(counts))
 
 
+def _packed_graph(initial: RoomState) -> tuple[dict[int, list[int]], int, int]:
+    """Successor keys by key in discovery order, b and floor: the search of :func:`explore`."""
+    b, floor, width, start, digits, ends = _window(initial)
+
+    def step(key: int) -> list[int]:
+        if key & ends:
+            raise _window_error(key, b, floor, width)
+        return _packed_successors(key, b, digits)
+
+    return _bfs(start, step, DEFAULT_NODE_BUDGET).edges, b, floor
+
+
 def explore(initial: RoomState) -> ReachGraph:
     """The move graph of ``initial``: one successor per available move.
 
@@ -178,21 +190,26 @@ def explore(initial: RoomState) -> ReachGraph:
     :class:`InvariantViolationError` when a state reaches the first or
     last room of the window.
     """
-    b, floor, width, start, digits, ends = _window(initial)
-
-    def step(key: int) -> list[int]:
-        if key & ends:
-            raise _window_error(key, b, floor, width)
-        return _packed_successors(key, b, digits)
-
-    packed = _bfs(start, step, DEFAULT_NODE_BUDGET).edges
+    packed, b, floor = _packed_graph(initial)
     state = {key: _unpack(key, b, floor) for key in packed}
-    edges = {state[key]: tuple(map(state.__getitem__, succ)) for key, succ in packed.items()}
-    return ReachGraph(state[start], tuple(edges), edges)
+    # pop each packed successor list as its tuple is built, so three full dicts never coexist
+    edges = {s: tuple(map(state.__getitem__, packed.pop(key))) for key, s in state.items()}
+    nodes = tuple(edges)
+    return ReachGraph(nodes[0], nodes, edges)
 
 
-def final_shadow_set(g: ReachGraph) -> frozenset[FinalShadowId]:
-    """Shadows of all final states of the graph.
+def final_states(initial: RoomState) -> tuple[RoomState, ...]:
+    """``explore(initial).finals``, building a state only for each final key.
+
+    The search and its errors are those of :func:`explore`; the finals
+    come in its discovery order.
+    """
+    packed, b, floor = _packed_graph(initial)
+    return tuple(_unpack(key, b, floor) for key, succ in packed.items() if not succ)
+
+
+def final_shadow_set(initial: RoomState) -> frozenset[FinalShadowId]:
+    """Shadows of the final states reachable from ``initial``, read off :func:`final_states`.
 
     Raises :class:`TheoremViolationError` when a reachable final state
     is not a member of the final shadow family (crowded room, gap wider
@@ -201,7 +218,7 @@ def final_shadow_set(g: ReachGraph) -> frozenset[FinalShadowId]:
     """
     out = set()
     bad = []
-    for f in g.finals:
+    for f in final_states(initial):
         fid = classify_final_shadow(shadow(f))
         if fid is None:
             bad.append(f.text())
@@ -209,7 +226,7 @@ def final_shadow_set(g: ReachGraph) -> frozenset[FinalShadowId]:
             out.add(fid)
     if bad:
         raise TheoremViolationError(
-            f"finals outside the shadow family from {g.initial.text()}: {bad}"
+            f"finals outside the shadow family from {initial.text()}: {bad}"
         )
     return frozenset(out)
 

@@ -40,6 +40,7 @@ from .reachability import (
     earliest_gap_decrease,
     explore,
     final_shadow_set,
+    final_states,
     flat_final_placements,
     gap_delta_class,
     max_displacement,
@@ -371,7 +372,7 @@ def family_coverage(ctx: RunContext, top: int) -> str:
             if len(parts) == 1:
                 assert available_moves(s) == () and is_final(s)
                 continue
-            got = final_shadow_set(explore(s))
+            got = final_shadow_set(s)
             if parts == (1, 2):
                 assert got == {FinalShadowId(3, 1)}, got
             elif parts == (2, 1):
@@ -390,11 +391,9 @@ def family_coverage(ctx: RunContext, top: int) -> str:
 )
 def flat_placements(ctx: RunContext, top: int) -> str:
     assert flat_final_placements(1) == frozenset()
-    g1 = explore(flat_clusteron(1))
-    assert g1.finals == (flat_clusteron(1),)
+    assert final_states(flat_clusteron(1)) == (flat_clusteron(1),)
     for n in sizes(2, top + 1):
-        g = explore(flat_clusteron(n))
-        got = frozenset(placement_of(f) for f in g.finals)
+        got = frozenset(placement_of(f) for f in final_states(flat_clusteron(n)))
         want = flat_final_placements(n)
         assert got == want, (n, sorted(got ^ want))
     for n in sizes(5, max(top + 1, 9)):
@@ -551,8 +550,8 @@ def flat4_finals(ctx: RunContext, top: int) -> str:
         dist = final_distribution(start)
         assert dict(dist.mass) == want, (start.text(), dist.mass)
     assert sorted(want.values()) == [Fraction(1, 6)] * 4 + [Fraction(1, 3)]
-    g = explore(flat_clusteron(4))
-    finals = {sumtroid(f) - sumtroid(g.initial): f for f in g.finals}
+    start = flat_clusteron(4)
+    finals = {sumtroid(f) - sumtroid(start): f for f in final_states(start)}
     assert set(finals) == set(golden), sorted(finals)
     for k, row in golden.items():
         f = finals[k]

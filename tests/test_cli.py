@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from dispersion import cli, probability, reachability
+from dispersion import cli, explore, parse_state, placement_of, probability, reachability, sumtroid
 from dispersion.verify import CheckResult, VerifyReport
 
 
@@ -75,6 +75,23 @@ def test_finals_reports_all_five_placements(capsys):
     assert len(payload) == 5
     assert [f["sumtroid_change"] for f in payload] == [-3, -1, 0, 1, 3]
     assert all(f["shadow_k"] in (1, 2, 3) for f in payload)
+
+
+def test_finals_json_of_a_crowded_start_lists_the_graphs_finals(capsys):
+    s = parse_state("261")
+    want = [
+        {
+            "state": f.text(),
+            "pattern": f.pattern(),
+            "shadow_k": placement_of(f).shadow_id.k,
+            "leftmost": f.offset,
+            "sumtroid_change": sumtroid(f) - sumtroid(s),
+        }
+        for f in sorted(explore(s).finals, key=sumtroid)  # stable: ties keep discovery order
+    ]
+    code, out = run_cli(capsys, "finals", "--state", "261", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == want
 
 
 def test_finals_text_counts_placements(capsys):

@@ -19,6 +19,7 @@ from dispersion import (
     entropy,
     explore,
     final_distribution,
+    final_states,
     flat_clusteron,
     golden_flat4_finals,
     golden_scaled_rows,
@@ -176,6 +177,8 @@ def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
         final_distribution(flat_clusteron(3))
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         explore(flat_clusteron(3))
+    with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
+        final_states(flat_clusteron(3))
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         monte_carlo_counts(3, 10, seed=0)
 

@@ -18,6 +18,7 @@ from dispersion import (
     export_dot,
     final_shadow_family,
     final_shadow_set,
+    final_states,
     flat_clusteron,
     flat_final_placements,
     gap_delta_class,
@@ -63,7 +64,7 @@ def test_depths_are_the_fewest_moves_to_each_state(n, flat_graphs):
 
 _REFERENCE_STARTS = {
     s.text(): s
-    for s in [flat_clusteron(n) for n in range(1, 9)]
+    for s in [flat_clusteron(n) for n in range(1, 10)]
     + [clusteron(parts) for n in range(2, 8) for parts in compositions(n)]
     + [
         parse_state(text)
@@ -79,6 +80,7 @@ def test_edges_hold_the_successors_in_move_order(start, reference_explore):
     assert g.nodes == ref.nodes
     assert g.edges == ref.edges
     assert g.finals == tuple(s for s in g.nodes if is_final(s))
+    assert final_states(start) == g.finals
 
 
 def test_explore_respects_its_node_budget(monkeypatch):
@@ -88,9 +90,12 @@ def test_explore_respects_its_node_budget(monkeypatch):
     assert exc.value.budget == 25
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 316)
     assert len(explore(parse_state("141")).nodes) == 316
+    assert final_states(parse_state("141")) == explore(parse_state("141")).finals
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 315)
     with pytest.raises(BudgetExceededError):
         explore(parse_state("141"))
+    with pytest.raises(BudgetExceededError):
+        final_states(parse_state("141"))
 
 
 @pytest.mark.parametrize("text", ["11111@-3", "22", "141", "1[12]01@-2"])
@@ -113,19 +118,19 @@ def test_flat_windows_spare_n_rooms_per_side_and_others_2n():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_flat_starts_reach_every_final_shadow(n):
-    assert final_shadow_set(explore(flat_clusteron(n))) == final_shadow_family(n)
+    assert final_shadow_set(flat_clusteron(n)) == final_shadow_family(n)
 
 
 def test_the_two_smallest_crowded_starts_reach_one_shadow_each():
-    assert final_shadow_set(explore(clusteron((1, 2)))) == frozenset({FinalShadowId(3, 1)})
-    assert final_shadow_set(explore(clusteron((2, 1)))) == frozenset({FinalShadowId(3, 2)})
+    assert final_shadow_set(clusteron((1, 2))) == frozenset({FinalShadowId(3, 1)})
+    assert final_shadow_set(clusteron((2, 1))) == frozenset({FinalShadowId(3, 2)})
 
 
 def test_width_one_crowded_starts_are_stuck():
     s = clusteron((3,))
     assert available_moves(s) == ()
     with pytest.raises(TheoremViolationError):
-        final_shadow_set(explore(s))
+        final_shadow_set(s)
 
 
 def test_placement_of_reads_shadow_and_leftmost():
