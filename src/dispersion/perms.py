@@ -1,10 +1,15 @@
 """Permutation statistics and the bijection with recursive trees.
 
 Depth-first reading of a tree, visiting children largest-first, gives
-a permutation of 1..n-1; the inverse parent rule is "rightmost earlier
+a permutation of 1..n-1; the inverse parent rule is "nearest earlier
 value that is smaller".  Leaf counts map to special descents and the
 smallest-child path end maps to the last value, which turns the tree
 table into permutation tallies.
+
+Each operation has one linear-time core on raw tuples.  The public
+functions validate once (``_validate_word`` or ``RecursiveTree``) and
+call it; the sweeps call the cores directly on tuples from
+``permutations`` and ``product``, which are valid by construction.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from itertools import permutations
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
-from .trees import Cell, RecursiveTree, RTable, enumerate_trees, r_table_bruteforce, tree_stats
+from .trees import Cell, RecursiveTree, RTable, _parent_tuples, _tree_stats, r_table_bruteforce
 
 
 class PermStats(NamedTuple):
@@ -26,7 +31,7 @@ class PermStats(NamedTuple):
 
 
 def _validate_word(word: tuple[int, ...]) -> None:
-    if sorted(word) != list(range(1, len(word) + 1)):
+    if not word or sorted(word) != list(range(1, len(word) + 1)):
         raise DomainError(f"not a permutation of 1..{len(word)}: {word}")
 
 
@@ -38,39 +43,57 @@ def perm_stats(word: tuple[int, ...]) -> PermStats:
     leading value of 1.
     """
     _validate_word(word)
-    descents = sum(1 for i in range(len(word) - 1) if word[i] > word[i + 1])
-    big = sum(1 for i in range(len(word) - 1) if word[i] - word[i + 1] >= 2)
-    special = descents + (1 if word[0] == 1 else 0)
-    return PermStats(descents, special, big, word[-1], word[0])
+    return _perm_stats(word)
+
+
+def _perm_stats(word: tuple[int, ...]) -> PermStats:
+    descents = big = 0
+    prev = word[0]
+    for v in word:
+        if v < prev:
+            descents += 1
+            big += prev - v >= 2
+        prev = v
+    return PermStats(descents, descents + (word[0] == 1), big, word[-1], word[0])
 
 
 def tree_to_perm(t: RecursiveTree) -> tuple[int, ...]:
     """Read the tree depth-first, children largest-first."""
     if t.n < 2:
         raise DomainError("the reading needs at least two vertices")
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    for v in range(t.n - 1, 0, -1):  # descending, so lists are sorted
-        children[t.parents[v]].append(v)
-    out: list[int] = []
-    stack = list(reversed(children[0]))
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack.extend(reversed(children[v]))
+    return _reading(t.parents)
+
+
+def _reading(parents: tuple[int | None, ...]) -> tuple[int, ...]:
+    # Each vertex, smallest first, goes right after its parent: later
+    # (larger) siblings land in front, and every subtree stays contiguous.
+    after = [0] * len(parents)  # next vertex of the word; 0 ends it
+    for v in range(1, len(parents)):
+        p = parents[v]
+        after[v] = after[p]
+        after[p] = v
+    out = [after[0]]
+    for _ in range(2, len(parents)):
+        out.append(after[out[-1]])
     return tuple(out)
 
 
 def perm_to_tree(word: tuple[int, ...]) -> RecursiveTree:
-    """Inverse reading: each value hangs below the rightmost smaller
+    """Inverse reading: each value hangs below the nearest smaller
     value written before it (the root 0 counts as written first)."""
     _validate_word(word)
+    return RecursiveTree(_parents_of(word))
+
+
+def _parents_of(word: tuple[int, ...]) -> tuple[int | None, ...]:
     parents: list[int | None] = [None] * (len(word) + 1)
-    earlier = [0]
+    stack = [0]  # the earlier values with no smaller value after them
     for value in word:
-        parent = next(u for u in reversed(earlier) if u < value)
-        parents[value] = parent
-        earlier.append(value)
-    return RecursiveTree(tuple(parents))
+        while stack[-1] > value:
+            stack.pop()
+        parents[value] = stack[-1]
+        stack.append(value)
+    return tuple(parents)
 
 
 def perms_of(n: int) -> Iterator[tuple[int, ...]]:
@@ -87,13 +110,14 @@ def sign_involution(word: tuple[int, ...]) -> tuple[int, ...]:
     values 3..n; for n = 2 it only swaps 1 and 2).
     """
     _validate_word(word)
-    n = len(word)
-    if n < 2:
+    if len(word) < 2:
         raise DomainError("the relabeling needs both values 1 and 2")
-    swap = {1: 2, 2: 1}
-    for i in range(3, n + 1):
-        swap[i] = n + 3 - i
-    return tuple(swap[v] for v in word)
+    return _relabel(word)
+
+
+def _relabel(word: tuple[int, ...]) -> tuple[int, ...]:
+    top = len(word) + 3
+    return tuple([3 - v if v < 3 else top - v for v in word])
 
 
 def _involution_image(n: int, cell: Cell) -> Cell:
@@ -129,17 +153,17 @@ def perm_count_checks(
 
     special: dict[Cell, int] = {}
     descent: dict[Cell, int] = {}
-    for word in perms_of(n - 1):
-        st = perm_stats(word)
+    for word in permutations(range(1, n)):
+        st = _perm_stats(word)
         cell = (st.special_descents + 1, st.last)
         special[cell] = special.get(cell, 0) + 1
         dcell = (st.descents + 1, st.last)
         descent[dcell] = descent.get(dcell, 0) + 1
 
-        image = sign_involution(word)
-        if sign_involution(image) != word:
+        image = _relabel(word)
+        if _relabel(image) != word:
             bad.append(f"relabeling is not an involution at {word}")
-        ist = perm_stats(image)
+        ist = _perm_stats(image)
         got = (ist.special_descents + 1, ist.last)
         if got != _involution_image(n, cell):
             bad.append(
@@ -149,7 +173,7 @@ def perm_count_checks(
 
     start_two: dict[Cell, int] = {}
     for rest in permutations((1, *range(3, n + 1))):
-        st = perm_stats((2, *rest))
+        st = _perm_stats((2, *rest))
         cell = (st.descents + 1, st.last)
         start_two[cell] = start_two.get(cell, 0) + 1
 
@@ -169,12 +193,14 @@ def perm_count_checks(
 def roundtrip_check(n: int) -> bool:
     """tree -> word -> tree is the identity and the statistics match:
     special descents = leaves - 1 and last value = path end."""
-    for t in enumerate_trees(n):
-        word = tree_to_perm(t)
-        if perm_to_tree(word) != t:
+    if n < 2:
+        raise DomainError("the reading needs at least two vertices")
+    for parents in _parent_tuples(n):
+        word = _reading(parents)
+        if _parents_of(word) != parents:
             return False
-        st = perm_stats(word)
-        leaves, path_end, _ = tree_stats(t)
+        st = _perm_stats(word)
+        leaves, path_end, _ = _tree_stats(parents)
         if st.special_descents != leaves - 1 or st.last != path_end:
             return False
     return True

@@ -8,6 +8,7 @@ final-sumtroid rows.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
@@ -32,7 +33,7 @@ class RecursiveTree:
         if not self.parents or self.parents[0] is not None:
             raise DomainError("parents[0] must be None")
         for v, p in enumerate(self.parents):
-            if v and not (isinstance(p, int) and 0 <= p < v):
+            if v and (isinstance(p, bool) or not (isinstance(p, int) and 0 <= p < v)):
                 raise DomainError(f"parent of {v} must lie in 0..{v - 1}, got {p}")
 
     @property
@@ -53,12 +54,16 @@ class TreeStats(NamedTuple):
     root_is_leaf: bool
 
 
-def enumerate_trees(n: int) -> Iterator[RecursiveTree]:
-    """All (n-1)! recursive trees, in lexicographic parent order."""
+def _parent_tuples(n: int) -> Iterator[tuple[int | None, ...]]:
+    """The parents of all (n-1)! recursive trees, in lexicographic order."""
     if n < 1:
         raise DomainError("trees need at least one vertex")
-    for tail in product(*(range(v) for v in range(1, n))):
-        yield RecursiveTree((None, *tail))
+    return product((None,), *(range(v) for v in range(1, n)))
+
+
+def enumerate_trees(n: int) -> Iterator[RecursiveTree]:
+    """All (n-1)! recursive trees, in lexicographic parent order."""
+    return map(RecursiveTree, _parent_tuples(n))
 
 
 def tree_stats(t: RecursiveTree) -> TreeStats:
@@ -69,21 +74,21 @@ def tree_stats(t: RecursiveTree) -> TreeStats:
     root and repeatedly steps to the smallest child until a childless
     vertex is reached.
     """
-    n = t.n
+    return _tree_stats(t.parents)
+
+
+def _tree_stats(parents: tuple[int | None, ...]) -> TreeStats:
+    n = len(parents)
     child_count = [0] * n
-    smallest_child = [n] * n
-    for v in range(1, n):
-        p = t.parents[v]
+    smallest_child = [0] * n  # 0: no child, as the root is nobody's child
+    for v in range(n - 1, 0, -1):  # descending, so the smallest child is written last
+        p = parents[v]
         child_count[p] += 1
-        if v < smallest_child[p]:
-            smallest_child[p] = v
-    leaves = sum(
-        1 for v in range(n) if child_count[v] + (1 if v else 0) == 1
-    )
+        smallest_child[p] = v
     v = 0
-    while child_count[v]:
+    while smallest_child[v]:
         v = smallest_child[v]
-    return TreeStats(leaves, v, child_count[0] == 1)
+    return TreeStats(child_count[1:].count(0) + (child_count[0] == 1), v, child_count[0] == 1)
 
 
 @dataclass(frozen=True)
@@ -113,12 +118,10 @@ def r_table_bruteforce(n: int) -> RTable:
     r: dict[Cell, int] = {}
     a: dict[Cell, int] = {}
     b: dict[Cell, int] = {}
-    for t in enumerate_trees(n):
-        leaves, path_end, root_is_leaf = tree_stats(t)
-        cell = (leaves, path_end)
-        r[cell] = r.get(cell, 0) + 1
-        side = b if root_is_leaf else a
-        side[cell] = side.get(cell, 0) + 1
+    counts = Counter(map(_tree_stats, _parent_tuples(n)))
+    for (leaves, path_end, root_is_leaf), count in counts.items():
+        r[(leaves, path_end)] = r.get((leaves, path_end), 0) + count
+        (b if root_is_leaf else a)[(leaves, path_end)] = count
     return RTable(n, r, a, b)
 
 

@@ -27,6 +27,23 @@ def tree_from_word(word):
     return RecursiveTree((None, *word))
 
 
+def reference_tree_stats(parents):
+    """Leaf count through a generator over explicit degrees, then the path."""
+    n = len(parents)
+    child_count = [0] * n
+    smallest_child = [n] * n
+    for v in range(1, n):
+        p = parents[v]
+        child_count[p] += 1
+        if v < smallest_child[p]:
+            smallest_child[p] = v
+    leaves = sum(1 for v in range(n) if child_count[v] + (1 if v else 0) == 1)
+    v = 0
+    while child_count[v]:
+        v = smallest_child[v]
+    return (leaves, v, child_count[0] == 1)
+
+
 def test_tree_validation():
     with pytest.raises(DomainError):
         RecursiveTree(())
@@ -34,6 +51,29 @@ def test_tree_validation():
         RecursiveTree((0,))
     with pytest.raises(DomainError):
         RecursiveTree((None, 1))
+    with pytest.raises(DomainError, match=r"parent of 2 must lie in 0\.\.1, got True"):
+        RecursiveTree((None, 0, True))
+    with pytest.raises(DomainError, match="got False"):
+        RecursiveTree((None, False))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stats_match_the_reference_kernel(n):
+    for t in enumerate_trees(n):
+        assert tree_stats(t) == reference_tree_stats(t.parents)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bruteforce_table_matches_a_reference_tally(n):
+    r, a, b = {}, {}, {}
+    for t in enumerate_trees(n):
+        leaves, path_end, root_is_leaf = reference_tree_stats(t.parents)
+        cell = (leaves, path_end)
+        r[cell] = r.get(cell, 0) + 1
+        side = b if root_is_leaf else a
+        side[cell] = side.get(cell, 0) + 1
+    table = r_table_bruteforce(n)
+    assert (table.r, table.a, table.b) == (r, a, b)
 
 
 def test_enumeration_counts_are_factorial():
