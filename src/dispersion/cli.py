@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 
 from .errors import BudgetExceededError, DispersionError, DomainError, MalformedStateError
-from .perms import perm_stats, perms_of
+from .perms import _perm_stats, perms_of
 from .probability import (
     final_distribution,
     monte_carlo_counts,
@@ -170,7 +170,7 @@ def cmd_perms(args: argparse.Namespace) -> int:
     field = {"descent": "descents", "special": "special_descents", "big": "big_descents"}
     tally: Counter[int] = Counter()
     for word in perms_of(args.n):
-        st = perm_stats(word)
+        st = _perm_stats(word)  # the words of perms_of are valid
         if args.last not in (None, st.last) or args.first not in (None, st.first):
             continue
         tally[getattr(st, field[args.stat])] += 1

@@ -23,7 +23,6 @@ from .states import (
     available_moves,
     centered_sumtroid,
     classify_final_shadow,
-    entropy,
     gaps,
     shadow,
     sumtroid,
@@ -37,10 +36,10 @@ DEFAULT_NODE_BUDGET = 10_000_000
 class ReachGraph:
     """All states reachable from ``initial``; a state is any hashable value.
 
-    ``nodes`` lists states in breadth-first discovery order; ``edges``
-    maps each state to its successors in order, so that in :func:`explore`
-    ``edges[s][i] == apply_move(s, available_moves(s)[i])``.  Move graphs
-    are acyclic because entropy strictly increases along edges.
+    ``nodes`` starts with ``initial``: :func:`explore` lists them in
+    increasing packed-key order, a topological order, and ``_bfs`` in
+    discovery order.  ``edges`` maps each state to its successors in order,
+    so that in :func:`explore` ``edges[s][i] == apply_move(s, available_moves(s)[i])``.
     """
 
     initial: Hashable
@@ -49,15 +48,15 @@ class ReachGraph:
 
     @property
     def finals(self) -> tuple[Hashable, ...]:
-        """The nodes without successors, in discovery order."""
+        """The nodes without successors, in node order."""
         return tuple(s for s in self.nodes if not self.edges[s])
 
     def depths(self) -> dict[Hashable, int]:
         """Minimum number of moves from the initial state to each node."""
         depth = {self.initial: 0}
-        for s in self.nodes:  # breadth-first: a node's first parent is a nearest one
+        for s in self.nodes:  # topological or breadth-first: depth[s] is final here
             for t in self.edges[s]:
-                depth.setdefault(t, depth[s] + 1)
+                depth[t] = min(depth.get(t, depth[s] + 1), depth[s] + 1)
         return depth
 
 
@@ -185,13 +184,13 @@ def explore(initial: RoomState) -> ReachGraph:
 
     The search runs over packed keys on the exact DP's window (see
     :func:`_spare_rooms`); each distinct key is then built into one
-    :class:`RoomState`.  Raises :class:`BudgetExceededError` when more
-    than ``DEFAULT_NODE_BUDGET`` states are reachable, and
-    :class:`InvariantViolationError` when a state reaches the first or
-    last room of the window.
+    :class:`RoomState`, in increasing key order.  Raises
+    :class:`BudgetExceededError` when more than ``DEFAULT_NODE_BUDGET``
+    states are reachable, and :class:`InvariantViolationError` when a
+    state reaches the first or last room of the window.
     """
     packed, b, floor = _packed_graph(initial)
-    state = {key: _unpack(key, b, floor) for key in packed}
+    state = {key: _unpack(key, b, floor) for key in sorted(packed)}
     # pop each packed successor list as its tuple is built, so three full dicts never coexist
     edges = {s: tuple(map(state.__getitem__, packed.pop(key))) for key, s in state.items()}
     nodes = tuple(edges)
@@ -202,10 +201,11 @@ def final_states(initial: RoomState) -> tuple[RoomState, ...]:
     """``explore(initial).finals``, building a state only for each final key.
 
     The search and its errors are those of :func:`explore`; the finals
-    come in its discovery order.
+    come in its increasing key order.
     """
     packed, b, floor = _packed_graph(initial)
-    return tuple(_unpack(key, b, floor) for key, succ in packed.items() if not succ)
+    finals = sorted(key for key, succ in packed.items() if not succ)
+    return tuple(_unpack(key, b, floor) for key in finals)
 
 
 def final_shadow_set(initial: RoomState) -> frozenset[FinalShadowId]:
@@ -301,11 +301,11 @@ def is_spacious(s: RoomState) -> bool:
 def locked_in_map(g: ReachGraph) -> dict[RoomState, bool]:
     """For each node: do all continuations keep the sumtroid fixed?
 
-    Processed in decreasing entropy, a reverse topological order; BFS
-    discovery order is not one, since path lengths to a state differ.
+    Processed in reverse node order, a reverse topological order for
+    :func:`explore` graphs but not for breadth-first ones.
     """
     locked: dict[RoomState, bool] = {}
-    for s in sorted(g.nodes, key=entropy, reverse=True):
+    for s in reversed(g.nodes):
         k = sumtroid(s)
         locked[s] = all(
             sumtroid(t) == k and locked[t] for t in g.edges[s]
@@ -536,7 +536,7 @@ def export_dot(
                 lines.append(f"  {_dot_id(s.text())} -> {_dot_id(t.text())};")
     else:
         size: dict[RoomState, int] = {}  # tree nodes under each state, itself included
-        for s in sorted(g.nodes, key=entropy, reverse=True):
+        for s in reversed(g.nodes):
             size[s] = 1 + sum(size[t] for t in children(s))
         if size[initial] > budget:
             raise BudgetExceededError(budget)

@@ -14,6 +14,7 @@ from dispersion import (
     crowded_states,
     displacements,
     earliest_gap_decrease,
+    entropy,
     explore,
     export_dot,
     final_shadow_family,
@@ -51,15 +52,16 @@ def test_flat_four_graph_has_known_shape(flat_graphs):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_depths_are_the_fewest_moves_to_each_state(n, flat_graphs):
-    g = flat_graphs[n]
-    parents: dict = {}
-    for s in g.nodes:
-        for t in g.edges[s]:
-            parents.setdefault(t, []).append(s)
-    depth = g.depths()
-    assert depth[g.initial] == 0 and len(depth) == len(g.nodes)
-    assert all(depth[t] == 1 + min(depth[s] for s in ps) for t, ps in parents.items())
+def test_depths_are_the_fewest_moves_to_each_state(n, flat_graphs, reference_explore):
+    # key order (explore) and breadth-first discovery order (_bfs) both give the fewest moves
+    for g in (flat_graphs[n], reference_explore(flat_clusteron(n))):
+        parents: dict = {}
+        for s in g.nodes:
+            for t in g.edges[s]:
+                parents.setdefault(t, []).append(s)
+        depth = g.depths()
+        assert depth[g.initial] == 0 and len(depth) == len(g.nodes)
+        assert all(depth[t] == 1 + min(depth[s] for s in ps) for t, ps in parents.items())
 
 
 _REFERENCE_STARTS = {
@@ -76,9 +78,11 @@ _REFERENCE_STARTS = {
 @pytest.mark.parametrize("start", _REFERENCE_STARTS.values(), ids=_REFERENCE_STARTS.keys())
 def test_edges_hold_the_successors_in_move_order(start, reference_explore):
     g, ref = explore(start), reference_explore(start)
-    assert g.initial == ref.initial
-    assert g.nodes == ref.nodes
+    assert g.initial == ref.initial == g.nodes[0]
+    assert len(g.nodes) == len(ref.nodes) and set(g.nodes) == set(ref.nodes)
     assert g.edges == ref.edges
+    position = {s: i for i, s in enumerate(g.nodes)}
+    assert all(position[s] < position[t] for s in g.nodes for t in g.edges[s])
     assert g.finals == tuple(s for s in g.nodes if is_final(s))
     assert final_states(start) == g.finals
 
@@ -192,6 +196,61 @@ def test_locked_in_states_keep_their_sumtroid(flat_graphs):
                     stack.append(t)
 
 
+# the compositions and crowded starts include b >= 2 windows, where key order and entropy order differ
+_ORDER_STARTS = {
+    "flat": [flat_clusteron(n) for n in range(1, 9)],
+    **{f"compositions of {n}": [clusteron(p) for p in compositions(n)] for n in range(2, 8)},
+    "crowded": [parse_state(t) for t in ("141", "22", "2112", "1311", "1201@-2", "18", "31")],
+}
+_DOT_OPTIONS = [{}, {"half": "left"}, {"half": "right"}, {"prune_locked_in": True}]
+
+
+def _entropy_references(g):
+    """Reference locked-in map and DOT tree size per option set, over decreasing entropy."""
+    order = sorted(g.nodes, key=entropy, reverse=True)  # a reverse topological order
+    locked = {}
+    for s in order:
+        k = sumtroid(s)
+        locked[s] = all(sumtroid(t) == k and locked[t] for t in g.edges[s])
+    sizes = []
+    for options in _DOT_OPTIONS:
+        size = {}
+        for s in order:
+            children = () if options.get("prune_locked_in") and locked[s] else g.edges[s]
+            if s == g.initial:
+                children = reachability._half_slice(children, options.get("half", "full"))
+            size[s] = 1 + sum(size[t] for t in children)
+        sizes.append(size[g.initial])
+    return locked, sizes
+
+
+class _Emitting(Exception):
+    """Raised in place of the first DOT line: the tree passed its budget."""
+
+
+@pytest.mark.parametrize("starts", _ORDER_STARTS.values(), ids=_ORDER_STARTS.keys())
+def test_key_order_matches_the_entropy_order_references(starts, monkeypatch):
+    def emitting(*args):
+        raise _Emitting
+
+    graphs = [explore(start) for start in starts]  # before the budget is patched
+    monkeypatch.setattr(reachability, "_dot_id", emitting)
+    for start, g in zip(starts, graphs):
+        locked, sizes = _entropy_references(g)
+        assert locked_in_map(g) == locked, start.text()
+        # export_dot reuses the graph and the map just checked; only its tree sizes run
+        monkeypatch.setattr(reachability, "explore", lambda s: g)
+        monkeypatch.setattr(reachability, "locked_in_map", lambda graph: locked)
+        for options, size in zip(_DOT_OPTIONS, sizes):
+            # the tree fits a budget of exactly its reference size, and not one less
+            monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", size)
+            with pytest.raises(_Emitting):
+                export_dot(start, mode="tree", **options)
+            monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", size - 1)
+            with pytest.raises(BudgetExceededError):
+                export_dot(start, mode="tree", **options)
+
+
 @given(st.builds(state_from_positions, st.sets(st.integers(-8, 8), min_size=2, max_size=7)))
 def test_gap_deltas_are_limited_to_three_classes(s):
     for m in available_moves(s):
@@ -258,10 +317,11 @@ def test_earliest_gap_decrease_matches_the_full_graph_search(starts):
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-def test_crowded_states_are_the_crowded_nodes_of_the_graph(n):
+def test_crowded_states_are_the_crowded_nodes_of_the_graph(n, reference_explore):
     for parts in compositions(n):
         s = clusteron(parts)
-        expected = tuple(t for t in explore(s).nodes if not t.single_occupancy)
+        # crowded_states keeps breadth-first discovery order
+        expected = tuple(t for t in reference_explore(s).nodes if not t.single_occupancy)
         assert crowded_states(s) == expected, parts
 
 
@@ -321,13 +381,15 @@ def test_dot_export_modes():
 
 @pytest.mark.parametrize(
     "n, options, nodes",
-    [(4, {}, 20), (5, {"half": "left"}, 102), (6, {"prune_locked_in": True}, 1284)],
+    [(4, {}, 20), (5, {"half": "left"}, 102), (6, {"prune_locked_in": True}, 1284), ("121", {}, 29)],
 )
 def test_dot_tree_budget_counts_the_emitted_tree(monkeypatch, n, options, nodes):
-    # each tree outgrows its graph (18, 72 and 274 states): the budget bounds the tree exactly
+    # an int is the flat start of that size, a string a state's text
+    start = flat_clusteron(n) if isinstance(n, int) else parse_state(n)
+    # each tree outgrows its graph (18, 72, 274 and 21 states): the budget bounds the tree exactly
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", nodes)
-    tree = export_dot(flat_clusteron(n), mode="tree", **options)
+    tree = export_dot(start, mode="tree", **options)
     assert tree.count("label=") == nodes
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", nodes - 1)
     with pytest.raises(BudgetExceededError):
-        export_dot(flat_clusteron(n), mode="tree", **options)
+        export_dot(start, mode="tree", **options)
