@@ -167,16 +167,16 @@ def _unpack(key: int, b: int, floor: int) -> RoomState:
     return RoomState(floor + skip, tuple(counts))
 
 
-def _packed_graph(initial: RoomState) -> tuple[dict[int, list[int]], int, int]:
-    """Successor keys by key in discovery order, b and floor: the search of :func:`explore`."""
-    b, floor, width, start, digits, ends = _window(initial)
+def _packed_graph(window: tuple, stop: Callable[[int], bool] | None = None) -> ReachGraph:
+    """Every search's BFS over the window's packed keys; a key ``stop`` holds gets no successors."""
+    b, floor, width, start, digits, ends = window
 
     def step(key: int) -> list[int]:
         if key & ends:
             raise _window_error(key, b, floor, width)
-        return _packed_successors(key, b, digits)
+        return [] if stop is not None and stop(key) else _packed_successors(key, b, digits)
 
-    return _bfs(start, step, DEFAULT_NODE_BUDGET).edges, b, floor
+    return _bfs(start, step, DEFAULT_NODE_BUDGET)
 
 
 def explore(initial: RoomState) -> ReachGraph:
@@ -189,7 +189,8 @@ def explore(initial: RoomState) -> ReachGraph:
     states are reachable, and :class:`InvariantViolationError` when a
     state reaches the first or last room of the window.
     """
-    packed, b, floor = _packed_graph(initial)
+    b, floor, *_ = window = _window(initial)
+    packed = _packed_graph(window).edges
     state = {key: _unpack(key, b, floor) for key in sorted(packed)}
     # pop each packed successor list as its tuple is built, so three full dicts never coexist
     edges = {s: tuple(map(state.__getitem__, packed.pop(key))) for key, s in state.items()}
@@ -203,7 +204,8 @@ def final_states(initial: RoomState) -> tuple[RoomState, ...]:
     The search and its errors are those of :func:`explore`; the finals
     come in its increasing key order.
     """
-    packed, b, floor = _packed_graph(initial)
+    b, floor, *_ = window = _window(initial)
+    packed = _packed_graph(window).edges
     finals = sorted(key for key, succ in packed.items() if not succ)
     return tuple(_unpack(key, b, floor) for key in finals)
 
@@ -347,21 +349,20 @@ def gap_delta_class(s: RoomState, m: Move) -> int:
 def earliest_gap_decrease(initial: RoomState) -> int | None:
     """Smallest move number (1-based) at which a -1 gap event can occur.
 
-    The breadth-first search expands nothing past the first state with a
-    -1 move: depths never decrease in discovery order.
+    The search (and errors) of :func:`explore` expands nothing past the
+    first state with a -1 move: depths never decrease in discovery order.
     """
+    b, floor, *_ = window = _window(initial)
     found = []
 
-    def step(s: RoomState) -> tuple[RoomState, ...]:
-        if found:
-            return ()
-        moves = available_moves(s)
-        if s.single_occupancy and -1 in (gap_delta_class(s, m) for m in moves):
-            found.append(s)
-            return ()
-        return tuple(apply_move(s, m) for m in moves)
+    def stop(key: int) -> bool:
+        if not found:
+            s = _unpack(key, b, floor)
+            if s.single_occupancy and -1 in (gap_delta_class(s, m) for m in available_moves(s)):
+                found.append(key)
+        return bool(found)
 
-    g = _bfs(initial, step, DEFAULT_NODE_BUDGET)
+    g = _packed_graph(window, stop)
     return g.depths()[found[0]] + 1 if found else None
 
 
@@ -369,14 +370,13 @@ def crowded_states(initial: RoomState) -> tuple[RoomState, ...]:
     """The reachable states with a crowded room, in discovery order.
 
     Moves fill only empty rooms, so a single-occupancy state leads only
-    to single-occupancy states; the search does not expand it.
+    to single-occupancy states; the search (and errors) of :func:`explore`
+    does not expand it.
     """
-
-    def step(s: RoomState) -> tuple[RoomState, ...]:
-        return () if s.single_occupancy else tuple(apply_move(s, m) for m in available_moves(s))
-
-    nodes = _bfs(initial, step, DEFAULT_NODE_BUDGET).nodes
-    return tuple(s for s in nodes if not s.single_occupancy)
+    b, floor, _, _, digits, _ = window = _window(initial)
+    crowd = ~digits  # a crowded room's field holds a bit above its lowest
+    g = _packed_graph(window, lambda key: not key & crowd)
+    return tuple(_unpack(key, b, floor) for key in g.nodes if key & crowd)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from dispersion import (
     ScaledRow,
     TheoremViolationError,
     clusteron,
+    crowded_states,
+    earliest_gap_decrease,
     entropy,
     explore,
     final_distribution,
@@ -181,6 +183,9 @@ def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
         final_states(flat_clusteron(3))
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         monte_carlo_counts(3, 10, seed=0)
+    for search in (crowded_states, earliest_gap_decrease):
+        with pytest.raises(InvariantViolationError, match="22 reaches an end of the 2-room window"):
+            search(parse_state("22"))
 
     # n // 2 spare rooms per side, too few for a flat 6
     monkeypatch.setattr(reachability, "_spare_rooms", lambda s: s.total // 2)

@@ -304,25 +304,52 @@ def _full_graph_earliest_gap_decrease(g):
     return best
 
 
+_COMPOSITIONS = {n: [clusteron(p) for p in compositions(n)] for n in range(2, 8)}
+_CROWDED_AND_GAPPED = [
+    parse_state(text) for text in ("141", "22", "2112", "1311", "1201@-2", "18", "31", "303")
+]
 _SMALL_CLUSTERONS = {
     "flat": [flat_clusteron(n) for n in range(2, 9)],
-    **{f"compositions of {n}": [clusteron(p) for p in compositions(n)] for n in range(2, 8)},
+    **{f"compositions of {n}": starts for n, starts in _COMPOSITIONS.items()},
+    "crowded and gapped": _CROWDED_AND_GAPPED,
 }
 
 
 @pytest.mark.parametrize("starts", _SMALL_CLUSTERONS.values(), ids=_SMALL_CLUSTERONS.keys())
-def test_earliest_gap_decrease_matches_the_full_graph_search(starts):
+def test_earliest_gap_decrease_matches_the_full_graph_search(starts, reference_explore):
     for s in starts:
-        assert earliest_gap_decrease(s) == _full_graph_earliest_gap_decrease(explore(s)), s.text()
+        expected = _full_graph_earliest_gap_decrease(reference_explore(s))
+        assert earliest_gap_decrease(s) == expected, s.text()
 
 
-@pytest.mark.parametrize("n", range(2, 8))
-def test_crowded_states_are_the_crowded_nodes_of_the_graph(n, reference_explore):
-    for parts in compositions(n):
-        s = clusteron(parts)
+@pytest.mark.parametrize(
+    "starts",
+    [*_COMPOSITIONS.values(), _CROWDED_AND_GAPPED],
+    ids=[*map(str, _COMPOSITIONS), "crowded and gapped"],
+)
+def test_crowded_states_are_the_crowded_nodes_of_the_graph(starts, reference_explore):
+    for s in starts:
         # crowded_states keeps breadth-first discovery order
         expected = tuple(t for t in reference_explore(s).nodes if not t.single_occupancy)
-        assert crowded_states(s) == expected, parts
+        assert crowded_states(s) == expected, s.text()
+
+
+def test_locked_in_searches_respect_the_node_budget(monkeypatch):
+    # each search counts only the states it expands or stops at, not the whole graph
+    s141, s1311 = parse_state("141"), parse_state("1311")
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 35)
+    assert len(crowded_states(s141)) == 23
+    assert earliest_gap_decrease(s141) == 5
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 34)
+    with pytest.raises(BudgetExceededError):
+        crowded_states(s141)
+    with pytest.raises(BudgetExceededError):
+        earliest_gap_decrease(s141)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 48)
+    assert earliest_gap_decrease(s1311) == 4
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 47)
+    with pytest.raises(BudgetExceededError):
+        earliest_gap_decrease(s1311)
 
 
 def test_adjacent_final_shadows_merge_into_one():
