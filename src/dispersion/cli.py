@@ -36,6 +36,7 @@ from .verify import reports_to_json, reports_to_text, run_suites, SUITES
 
 USAGE_EXIT = 2
 BUDGET_EXIT = 3
+ENUMERATION_CAP = 10  # largest n that rtable --method brute and perms enumerate
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -145,9 +146,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_rtable(args: argparse.Namespace) -> int:
-    if args.method == "brute" and args.n > 10:
+    if args.method == "brute" and args.n > ENUMERATION_CAP:
         raise BudgetExceededError(
-            args.n, "tree enumeration is capped at n=10; use --method recursion"
+            ENUMERATION_CAP,
+            f"tree enumeration is capped at n={ENUMERATION_CAP}; use --method recursion",
         )
     table = (r_table_bruteforce if args.method == "brute" else r_table_recursive)(args.n)
     # recursion tables have no a/b split: zip stops at the shorter columns
@@ -162,8 +164,10 @@ def cmd_rtable(args: argparse.Namespace) -> int:
 
 
 def cmd_perms(args: argparse.Namespace) -> int:
-    if args.n > 10:
-        raise BudgetExceededError(args.n, "permutation listing is capped at n=10")
+    if args.n > ENUMERATION_CAP:
+        raise BudgetExceededError(
+            ENUMERATION_CAP, f"permutation listing is capped at n={ENUMERATION_CAP}"
+        )
     for flag, value in (("--last", args.last), ("--first", args.first)):
         if value is not None and not 1 <= value <= args.n:
             raise DomainError(f"{flag} must be in 1..{args.n}, got {value}")

@@ -54,6 +54,16 @@ def shadow_of_sumtroid(n: int, k: int) -> int:
 # where a memo of all 19,765 states those samples visit holds about 4 MB.
 _MC_MEMO_STATES = 4096
 
+# D grows by the part of d that a share lacks, to this power, so that later
+# shares of the same part divide with no growth.  Flat rows on a 2-CPU box
+# (Python 3.11), D bits (growths) at n = 12, 13, 14, 15: a power of 32 gives
+# 1,145 (16), 1,696 (28), 2,691 (43), 4,057 (65) and peaks at 291 MB at 15;
+# a power of 1, the minimal D, gives 887, 1,465, 2,342, 3,718 bits but
+# 1,879 growths at 15, each rescaling every pending mass, and ran 3.4x
+# slower there; a power of 16 gives 3,844 bits at 15 over 125 growths and
+# peaks at 303 MB.
+_GROWTH_POWER = 32
+
 
 # ---------------------------------------------------------------------------
 # distributions and scaled rows
@@ -88,9 +98,10 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
 
     Each mass is held as the integer P * D, with D one denominator for the
     whole run, so merging masses is integer addition.  A state with d moves
-    gives each successor its mass divided by d; when d does not divide it,
-    D and every held mass first grow by :func:`_growth`.  Each final
-    sumtroid's mass becomes one ``Fraction`` over D at the end.
+    gives each successor its mass num divided by d; when d does not divide
+    it, D and every held mass first grow by (d // gcd(num, d)) **
+    ``_GROWTH_POWER``, after which d divides num.  Each final sumtroid's
+    mass becomes one ``Fraction`` over D at the end.
 
     The DP folds when each room holds at most one occupant (b = 1) and
     the start key is its own :func:`_mirror`, as every flat start and 0/1
@@ -108,7 +119,6 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
     pad = 8 * size - width
     from_bytes = int.from_bytes
     denom = 1
-    step: dict[int, int] = {}
     pending = {start: 1}
     heap = [start]
     mass: dict[int, int] = {}
@@ -128,14 +138,15 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
             k = sumtroid(_unpack(key, b, floor)) - sumtroid(initial)
             mass[k] = mass.get(k, 0) + num
             continue
-        share, r = divmod(num, len(succ))
+        d = len(succ)
+        share, r = divmod(num, d)
         if r:
-            factor = _growth(num, len(succ), step)
+            factor = (d // gcd(num, d)) ** _GROWTH_POWER
             denom *= factor
             for masses in (pending, mass):
                 for t in masses:
                     masses[t] *= factor
-            share = num * factor // len(succ)
+            share = num * factor // d
         for t in succ:
             if fold:  # inlined _mirror(t, width)
                 m = from_bytes(t.to_bytes(size, "little").translate(_REVERSED_BYTES), "big") >> pad
@@ -167,22 +178,6 @@ def _mirror(key: int, width: int) -> int:
     return int.from_bytes(key.to_bytes(size, "little").translate(_REVERSED_BYTES), "big") >> (
         8 * size - width
     )
-
-
-def _growth(num: int, d: int, step: dict[int, int]) -> int:
-    """The factor by which D grows so that d divides num times it.
-
-    Each growth multiplies by p^a for every prime p of d // gcd(num, d), where
-    ``step`` holds a per prime: it starts at 1 and doubles at each growth.
-    """
-    factor = 1
-    while (need := d // gcd(num * factor, d)) > 1:
-        for p in range(2, need + 1):
-            if need % p == 0 and all(p % q for q in range(2, p)):
-                a = step.get(p, 1)
-                step[p] = 2 * a
-                factor *= p**a
-    return factor
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from dispersion import cli, explore, parse_state, placement_of, probability, reachability, sumtroid
+from dispersion import BudgetExceededError, cli, explore, parse_state, placement_of, probability, reachability, sumtroid
 from dispersion.verify import CheckResult, VerifyReport
 
 
@@ -289,6 +289,14 @@ def test_budget_errors_exit_three(capsys, monkeypatch):
     capsys.readouterr()
     assert cli.main(["rtable", "--n", "11"]) == 3
     assert "--method recursion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rtable", "perms"])
+def test_enumeration_caps_report_the_cap_as_the_budget(command):
+    args = cli._parser().parse_args([command, "--n", "11"])
+    with pytest.raises(BudgetExceededError) as raised:
+        args.func(args)
+    assert raised.value.budget == cli.ENUMERATION_CAP == 10
 
 
 def test_output_file_writing(capsys, tmp_path):

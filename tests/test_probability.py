@@ -157,18 +157,37 @@ def test_states_reached_at_several_depths_merge_exactly(reference_explore):
         assert any(reached[s] > 1 for s in g.nodes if g.edges[s]), text
         assert any(reached[s] > 1 for s in g.finals), text
         assert final_distribution(g.initial).mass == _graph_distribution(g), text
-    # From D = 1, a share of 1 over 8 needs two growths, by 2 then 2^2; over 9, by 3
-    # then 3^2.  A share that already divides leaves D alone.
-    step: dict[int, int] = {}
-    assert probability._growth(1, 8, step) == 2 * 2**2 and step == {2: 4}
-    step = {}
-    assert probability._growth(1, 9, step) == 3 * 3**2 and step == {3: 4}
-    assert probability._growth(6, 6, step) == 1 and step == {3: 4}
+
+
+def test_d_grows_once_by_the_part_a_share_lacks(monkeypatch):
+    # D never leaves the DP, so run it on a made-up graph and read D off the
+    # unreduced final fractions: the start has d successors, the first of them
+    # e more, and every other key is final.
+    s = parse_state("1101")  # not its own mirror, so not folded
+    _, _, _, start, _, _ = reachability._window(s)
+    monkeypatch.setattr(probability, "Fraction", lambda num, den: (num, den))
+
+    def final_d(d, e):
+        kids = [start + 2 * i for i in range(1, d + 1)]  # inside the window, above the start
+        graph = {start: kids, kids[0]: [start + 2 * i for i in range(d + 1, d + e + 1)]}
+        monkeypatch.setattr(probability, "_packed_successors", lambda key, b, digits: graph.get(key, []))
+        fractions = final_distribution(s).mass.values()
+        (den,) = {den for _, den in fractions}
+        assert sum(num for num, _ in fractions) == den
+        return den
+
+    power = probability._GROWTH_POWER
+    assert final_d(8, 0) == 8**power  # 1 over 8: one growth
+    assert final_d(6, 6) == 6**power  # then 6^(power-1) over 6 divides: no second growth
+    assert final_d(4, 6) == 4**power * 3**power  # 4^(power-1) over 6 lacks only the 3
+    for num in range(1, 61):
+        for d in range(1, 13):
+            assert num * (d // math.gcd(num, d)) ** power % d == 0, (num, d)
 
 
 def test_masses_that_miss_the_denominator_raise(monkeypatch):
-    # never growing D truncates every share that does not divide
-    monkeypatch.setattr(probability, "_growth", lambda num, d, step: 1)
+    # a power of 0 never grows D and truncates every share that does not divide
+    monkeypatch.setattr(probability, "_GROWTH_POWER", 0)
     with pytest.raises(TheoremViolationError, match="masses sum to 0, not 1"):
         final_distribution(flat_clusteron(3))
 
