@@ -18,7 +18,7 @@ class DomainError(DispersionError, ValueError):
 
 
 class InvariantViolationError(DispersionError):
-    """Two representations of the same state disagree."""
+    """Two representations of the same state disagree, or a state reaches an end of its window."""
 
 
 class BudgetExceededError(DispersionError):

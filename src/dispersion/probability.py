@@ -24,8 +24,8 @@ from math import factorial, gcd
 from pathlib import Path
 
 from .errors import BudgetExceededError, DomainError, TheoremViolationError
-from .reachability import DEFAULT_NODE_BUDGET, _packed_move, _packed_successors
-from .reachability import _unpack, _window, _window_error
+from . import reachability
+from .reachability import _packed_move, _packed_successors, _unpack, _window, _window_error
 from .states import RoomState, flat_clusteron, sumtroid
 
 
@@ -90,8 +90,8 @@ class SumtroidDistribution:
 def final_distribution(initial: RoomState) -> SumtroidDistribution:
     """Distribution of the final sumtroid change under uniform play.
 
-    Forward pass in increasing key order, keeping one pending probability
-    per frontier state; ``DEFAULT_NODE_BUDGET`` caps the states processed.
+    Forward pass in increasing key order, holding one pending probability per
+    frontier state; more than ``DEFAULT_NODE_BUDGET`` pending raise BudgetExceededError.
     The window has :func:`.reachability._spare_rooms` spare rooms on each
     side of the start; a state in its first or last room raises
     :class:`InvariantViolationError` before any move could leave it.
@@ -107,7 +107,7 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
     the start key is its own :func:`_mirror`, as every flat start and 0/1
     palindromes such as 10101 are.  Then the mirror of a move is a move
     and a state and its mirror are equally likely, so one mass stands for
-    both under the smaller key, the budget counts these classes, and a
+    both under the smaller key, the budget counts pending classes, and a
     final class whose change is k != 0 gives half its mass to k and half
     to -k.  Both keys of a pair rise along a move, so the smaller one
     keeps the key order topological.
@@ -122,15 +122,13 @@ def final_distribution(initial: RoomState) -> SumtroidDistribution:
     pending = {start: 1}
     heap = [start]
     mass: dict[int, int] = {}
-    budget = DEFAULT_NODE_BUDGET
-    processed = 0
+    budget = reachability.DEFAULT_NODE_BUDGET
     pop, push, get = heapq.heappop, heapq.heappush, pending.get
     while heap:
+        if len(heap) > budget:  # the heap holds one key per pending mass
+            raise BudgetExceededError(budget)
         key = pop(heap)
         num = pending.pop(key)
-        processed += 1
-        if processed > budget:
-            raise BudgetExceededError(budget)
         if key & ends:
             raise _window_error(key, b, floor, width)
         succ = _packed_successors(key, b, digits)
@@ -392,7 +390,7 @@ def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
                     if count > 1:
                         for _ in range(randrange(count)):
                             pairs &= pairs - 1
-                    key = _packed_move(key, pairs & -pairs, 1, digits ^ key)
+                    key = _packed_move(key, pairs & -pairs, digits ^ key)
                     continue
             count = len(succ)
             if count > 1:

@@ -29,7 +29,8 @@ from .states import (
     validate_move,
 )
 
-DEFAULT_NODE_BUDGET = 10_000_000
+# States an engine holds at once; sized by peak RSS per held state to stay under ~2 GB (README).
+DEFAULT_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,11 @@ def _packed_successors(key: int, b: int, digits: int) -> list[int]:
     return out
 
 
-def _packed_move(key: int, low: int, b: int, empty: int) -> int:
-    """Fire the pair at bit ``low``: each occupant takes its nearest ``empty`` room or drops."""
+def _packed_move(key: int, low: int, empty: int) -> int:
+    """Fire the pair at bit ``low`` of a mask: each takes its nearest ``empty`` room or drops."""
     below = empty & (low - 1)
-    above = empty & -(low << 2 * b)
-    return key - low - (low << b) + (1 << below.bit_length() >> 1) + (above & -above)
+    above = empty & -(low << 2)
+    return key - low - (low << 1) + (1 << below.bit_length() >> 1) + (above & -above)
 
 
 def _spare_rooms(initial: RoomState) -> int:
@@ -501,8 +502,8 @@ def export_dot(
     (mirror symmetry makes the other half redundant for flat starts).
     ``prune_locked_in`` drops all children of locked-in states, which
     keep their sumtroid forever and add no information.  Both the graph
-    and a tree are capped at ``DEFAULT_NODE_BUDGET`` nodes; a tree is
-    counted before any line is built.
+    and a tree, whose nodes are the DOT lines it holds, are capped at
+    ``DEFAULT_NODE_BUDGET`` nodes; a tree is counted before any line is built.
     """
     if mode not in ("tree", "dag"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -511,7 +512,6 @@ def export_dot(
     if half not in ("full", "left", "right"):
         raise DomainError(f"unknown half {half!r}")
 
-    budget = DEFAULT_NODE_BUDGET
     g = explore(initial)
     locked = locked_in_map(g) if prune_locked_in else {}
 
@@ -528,7 +528,7 @@ def export_dot(
 
     lines = ["digraph dispersion {", "  node [shape=box];"]
     if mode == "dag":
-        kept = _bfs(initial, children, budget)
+        kept = _bfs(initial, children, DEFAULT_NODE_BUDGET)
         for s in kept.nodes:
             lines.append(f'  {_dot_id(s.text())} [label="{label(s)}"];')
         for s in kept.nodes:
@@ -538,8 +538,8 @@ def export_dot(
         size: dict[RoomState, int] = {}  # tree nodes under each state, itself included
         for s in reversed(g.nodes):
             size[s] = 1 + sum(size[t] for t in children(s))
-        if size[initial] > budget:
-            raise BudgetExceededError(budget)
+        if size[initial] > DEFAULT_NODE_BUDGET:
+            raise BudgetExceededError(DEFAULT_NODE_BUDGET)
         taken: dict[str, int] = {}
 
         def emit(s: RoomState, parent_id: str | None) -> None:

@@ -18,7 +18,7 @@ from itertools import product
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
-from .errors import DispersionError
+from .errors import BudgetExceededError, DispersionError
 from .perms import perm_count_checks, perm_stats, roundtrip_check
 from .probability import (
     ScaledRow,
@@ -231,6 +231,8 @@ def run_checks(ids: Iterable[str], ctx: RunContext) -> tuple[CheckResult, ...]:
             out.append(CheckResult(check_id, "skip", str(e), c.claim))
         except AssertionError as e:
             out.append(CheckResult(check_id, "fail", str(e) or "assertion failed", c.claim))
+        except BudgetExceededError:
+            raise  # a check that could not finish has neither passed nor failed
         except DispersionError as e:
             out.append(CheckResult(check_id, "fail", f"{type(e).__name__}: {e}", c.claim))
         else:

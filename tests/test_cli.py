@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from dispersion import BudgetExceededError, cli, explore, parse_state, placement_of, probability, reachability, sumtroid
+from dispersion import BudgetExceededError, cli, explore, parse_state, placement_of, reachability, sumtroid
 from dispersion.verify import CheckResult, VerifyReport
 
 
@@ -271,7 +271,6 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 
 def test_budget_errors_exit_three(capsys, monkeypatch):
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 3)
-    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", 3)
     for argv in (
         ["graph", "--state", "111111"],
         ["graph", "--state", "111111", "--mode", "dag"],
@@ -289,6 +288,14 @@ def test_budget_errors_exit_three(capsys, monkeypatch):
     capsys.readouterr()
     assert cli.main(["rtable", "--n", "11"]) == 3
     assert "--method recursion" in capsys.readouterr().err
+
+
+def test_a_budget_trip_in_verify_exits_three_not_one(capsys, monkeypatch):
+    # the DP of row 7 holds more than 100 pending masses: an unfinished check is no failed claim
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 100)
+    assert cli.main(["verify", "--suite", "window", "--max-n", "7"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: budget exceeded: node budget of 100 exceeded\n")
 
 
 @pytest.mark.parametrize("command", ["rtable", "perms"])

@@ -137,11 +137,11 @@ def test_a_start_that_is_not_its_own_mirror_is_not_folded(text, monkeypatch):
     s = parse_state(text)
     _, _, width, start, _, _ = reachability._window(s)
     assert probability._mirror(start, width) != start
-    states = len(explore(s).nodes)  # unfolded, the budget counts every state
-    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", states - 1)
+    peak = _peak_pending(explore(s))  # unfolded, every pending state holds its own mass
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", peak - 1)
     with pytest.raises(BudgetExceededError):
         final_distribution(s)
-    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", states)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", peak)
     final_distribution(s)
 
 
@@ -418,32 +418,52 @@ def test_cache_roundtrip_and_corruption_recovery(tmp_path):
     assert fourth == first
 
 
+def _peak_pending(g, mirror=None):
+    """Most masses pending at once in a DP that pops ``g.nodes`` in order, as it does explore's.
+
+    With ``mirror``, a state and its mirror share one mass under the earlier node.
+    """
+    order = {s: i for i, s in enumerate(g.nodes)}
+    held = (lambda s: s) if mirror is None else (lambda s: min(s, mirror(s), key=order.get))
+    pending, peak = {g.initial}, 0
+    for s in g.nodes:
+        if s in pending:
+            peak = max(peak, len(pending))
+            pending.remove(s)
+            pending.update(map(held, g.edges[s]))
+    return peak
+
+
 def test_node_budget_is_enforced(monkeypatch):
+    # the budget counts the masses pending at once, not the states processed
     crowded = parse_state("141")
-    states = len(explore(crowded).nodes)  # the budget counts states processed
-    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", 50)
+    g, flat = explore(crowded), explore(flat_clusteron(8))  # before the budget is patched
+    peak = _peak_pending(g)
+    assert (len(g.nodes), peak) == (316, 49)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 50)
     with pytest.raises(BudgetExceededError) as exc:
         final_distribution(flat_clusteron(9))
     assert exc.value.budget == 50
     with pytest.raises(BudgetExceededError):
         scaled_row(9)
-    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", 4)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
         final_distribution(parse_state("011110"))
-    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", states - 1)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", peak - 1)
     with pytest.raises(BudgetExceededError):
         final_distribution(crowded)
-    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", states)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", peak)
     final_distribution(crowded)
-    # A folded run counts mirror classes: a pair of states, or one state that is its own mirror.
-    flat = explore(flat_clusteron(8))
-    fixed = sum(s.positions() == tuple(7 - p for p in reversed(s.positions())) for s in flat.nodes)
-    classes = (len(flat.nodes) + fixed) // 2
-    assert (len(flat.nodes), classes) == (3255, 1641)
-    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", classes - 1)
+    # A folded run holds one mass per mirror class: a pair of states, or one self-mirror state.
+    def mirror(s):  # reflected in the start's rooms 0..7
+        return RoomState(8 - s.offset - len(s.occupancy), s.occupancy[::-1])
+
+    peak = _peak_pending(flat, mirror)
+    assert (len(flat.nodes), peak) == (3255, 344)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", peak - 1)
     with pytest.raises(BudgetExceededError):
         final_distribution(flat_clusteron(8))
-    monkeypatch.setattr(probability, "DEFAULT_NODE_BUDGET", classes)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", peak)
     final_distribution(flat_clusteron(8))
 
 
