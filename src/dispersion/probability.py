@@ -17,7 +17,6 @@ import hashlib
 import heapq
 import io
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -51,7 +50,7 @@ def shadow_of_sumtroid(n: int, k: int) -> int:
 
 # The sampler memoises the successor tuples of at most this many states.  Full,
 # the memo holds about 0.9 MB at n = 10 (tracemalloc peak of 5,000 samples),
-# where a memo of all 19,765 states those samples visit holds about 4 MB.
+# where a memo of all 19,993 states those samples visit (seed 1) holds 4.3 MB.
 _MC_MEMO_STATES = 4096
 
 # D grows by the part of d that a share lacks, to this power, so that later
@@ -347,19 +346,19 @@ def window_recurrence_step(prev: ScaledRow) -> ScaledRow:
 def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
     """Sampled final sumtroid changes of the flat clusteron of size n.
 
-    Sample i plays the DP's packed move on the DP's window, firing at
-    each step the ``randrange(count)``-th adjacent pair from the low end
-    (no draw for a single pair).  One generator is reseeded with
-    ``seed*1000003 + i`` per sample, which gives the stream of
-    ``Random(seed*1000003 + i)``.  The successor tuples of the first
-    _MC_MEMO_STATES states visited are memoised; they come low bit first,
-    so a draw picks the same pair on either path, and states past the cap
-    draw from the pair mask and fire :func:`_packed_move`.  Per-sample
-    seeding makes shards independent of evaluation order: any partition
-    of the index range gives the same totals.  Seeds must be >= 0, since
-    ``Random`` seeds with |seed|.  Sample 1000003 + j of seed s is sample
-    j of seed s + 1, so a run of more than 1000003 samples overlaps the
-    next seed's run.
+    Sample i plays the DP's packed move on the DP's window.  Its bits are
+    the 512-bit little-endian integer of ``blake2b(f"{seed}:{i}")`` (64-byte
+    digest); when they run out, the 512 bits of blake2b of the previous
+    digest go on above the unread ones.  A step with ``count > 1`` moves
+    reads the low ``w = (count-1).bit_length()`` unread bits as r, reading
+    again while r >= count, so every draw is exactly uniform, and fires the
+    r-th adjacent pair from the low end; a single move draws nothing.  The
+    successor tuples of the first _MC_MEMO_STATES states visited are
+    memoised; they come low bit first, so a draw picks the same pair on
+    either path, and states past the cap fire the r-th pair of the pair
+    mask with :func:`_packed_move`.  Sample i depends only on (seed, i), so
+    any partition of the index range gives the same totals.  Seeds must be
+    >= 0, the rule of ``run --seed`` too.
     """
     if n < 2:
         raise DomainError(f"sampling needs n >= 2, got {n}")
@@ -373,32 +372,42 @@ def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
         raise _window_error(start, 1, floor, width)
     finals: dict[int, int] = {}
     memo: dict[int, tuple[int, ...]] = {}
-    rng = random.Random()
-    randrange = rng.randrange
+    prefix = hashlib.blake2b(f"{seed}:".encode(), digest_size=64)
     for i in range(samples):
-        rng.seed(seed * 1_000_003 + i)
+        h = prefix.copy()
+        h.update(b"%d" % i)
+        digest = h.digest()
+        bits, left = int.from_bytes(digest, "little"), 512
         key = start
         while True:
             succ = memo.get(key)
-            if succ is None:
-                if len(memo) < _MC_MEMO_STATES:
-                    succ = memo[key] = tuple(_packed_successors(key, 1, digits))
-                else:  # memo full: draw straight from the pair mask
-                    if not (pairs := key & (key >> 1)):
-                        break
-                    count = pairs.bit_count()
-                    if count > 1:
-                        for _ in range(randrange(count)):
-                            pairs &= pairs - 1
-                    key = _packed_move(key, pairs & -pairs, digits ^ key)
-                    continue
-            count = len(succ)
+            if succ is None and len(memo) < _MC_MEMO_STATES:
+                succ = memo[key] = tuple(_packed_successors(key, 1, digits))
+            if succ is not None:
+                count = len(succ)
+            else:  # memo full: draw straight from the pair mask
+                count = (pairs := key & (key >> 1)).bit_count()
+            r = 0
             if count > 1:
-                key = succ[randrange(count)]
-            elif count:
-                key = succ[0]
-            else:
+                w = (count - 1).bit_length()
+                while True:
+                    if left < w:
+                        digest = hashlib.blake2b(digest, digest_size=64).digest()
+                        bits |= int.from_bytes(digest, "little") << left
+                        left += 512
+                    r = bits & ((1 << w) - 1)
+                    bits >>= w
+                    left -= w
+                    if r < count:
+                        break
+            elif not count:
                 break
+            if succ is not None:
+                key = succ[r]
+            else:
+                for _ in range(r):
+                    pairs &= pairs - 1
+                key = _packed_move(key, pairs & -pairs, digits ^ key)
         finals[key] = finals.get(key, 0) + 1
     counts: dict[int, int] = {}
     for key, c in finals.items():

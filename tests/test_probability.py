@@ -1,4 +1,5 @@
 """Exact final-sumtroid distributions, scaled rows, and their serialization."""
+import hashlib
 import json
 import math
 import random
@@ -15,6 +16,8 @@ from dispersion import (
     RoomState,
     ScaledRow,
     TheoremViolationError,
+    apply_move,
+    available_moves,
     clusteron,
     crowded_states,
     earliest_gap_decrease,
@@ -67,6 +70,38 @@ def _graph_distribution(g):
         for t in edges:
             pending[t] = pending.get(t, Fraction(0)) + share
     return mass
+
+
+def _hash_stream_counts(n, samples, seed):
+    """Reference for :func:`monte_carlo_counts`: uniform play on RoomStates.
+
+    Sample i reads its bits from the concatenated blocks blake2b(f"{seed}:{i}"),
+    then blake2b of each previous block (64-byte digests, little-endian), w low
+    unread bits per draw among m > 1 moves, w = (m-1).bit_length(), again while
+    the value is >= m.  Also returns how many chained blocks the run read.
+    """
+    initial = flat_clusteron(n)
+    counts = Counter()
+    chains = 0
+    for i in range(samples):
+        blocks = [hashlib.blake2b(f"{seed}:{i}".encode(), digest_size=64).digest()]
+        read = 0
+        s = initial
+        while moves := available_moves(s):
+            r = 0
+            if len(moves) > 1:
+                w = (len(moves) - 1).bit_length()
+                while True:
+                    if read + w > 512 * len(blocks):
+                        blocks.append(hashlib.blake2b(blocks[-1], digest_size=64).digest())
+                        chains += 1
+                    r = (int.from_bytes(b"".join(blocks), "little") >> read) % 2**w
+                    read += w
+                    if r < len(moves):
+                        break
+            s = apply_move(s, moves[r])
+        counts[sumtroid(s) - sumtroid(initial)] += 1
+    return dict(sorted(counts.items())), chains
 
 
 def test_flat_four_distribution_matches_the_frozen_masses():
@@ -322,24 +357,23 @@ def test_monte_carlo_is_seed_and_shard_deterministic():
 
 
 def test_monte_carlo_sample_stream_is_pinned():
-    # sample i draws from Random(seed*1000003 + i), one randrange per step with a choice
+    # sample i reads its draws from blake2b(f"{seed}:{i}"), one per step with a choice
     assert monte_carlo_counts(7, 200, seed=11) == {
-        -12: 1, -11: 2, -10: 2, -9: 3, -8: 4, -6: 2, -5: 12, -4: 21, -3: 19, -2: 12,
-        -1: 18, 1: 22, 2: 14, 3: 18, 4: 14, 5: 15, 6: 6, 8: 4, 9: 4, 10: 2, 11: 1,
-        12: 2, 13: 1, 15: 1,
+        -9: 5, -8: 11, -6: 10, -5: 8, -4: 12, -3: 15, -2: 25, -1: 21, 1: 22, 2: 20,
+        3: 13, 4: 17, 5: 7, 6: 5, 8: 8, 13: 1,
     }
 
 
 def test_a_stream_that_overflows_the_successor_memo_is_pinned():
-    # 1,000 samples of size 10 visit 12,206 states, past the memo's cap, so
+    # 1,000 samples of size 10 visit 11,794 states, past the memo's cap, so
     # later steps draw from the pair mask and fire with _packed_move
-    assert probability._MC_MEMO_STATES < 12_206
+    assert probability._MC_MEMO_STATES < 11_794
     assert monte_carlo_counts(10, 1000, seed=1) == {
-        -26: 1, -23: 2, -22: 2, -21: 3, -20: 4, -19: 3, -18: 5, -17: 7, -16: 12,
-        -14: 11, -13: 13, -12: 21, -11: 26, -10: 35, -9: 32, -8: 40, -7: 34,
-        -6: 44, -4: 48, -3: 50, -2: 51, -1: 54, 0: 51, 1: 35, 2: 51, 3: 50,
-        4: 45, 6: 32, 7: 42, 8: 29, 9: 27, 10: 28, 11: 26, 12: 19, 13: 13,
-        14: 8, 16: 13, 17: 6, 18: 12, 19: 5, 20: 4, 22: 3, 23: 1, 24: 2,
+        -23: 3, -20: 6, -19: 1, -18: 4, -17: 10, -16: 11, -14: 10, -13: 13,
+        -12: 12, -11: 14, -10: 35, -9: 26, -8: 37, -7: 47, -6: 60, -4: 54,
+        -3: 39, -2: 52, -1: 57, 0: 57, 1: 39, 2: 44, 3: 39, 4: 47, 6: 47, 7: 28,
+        8: 36, 9: 36, 10: 33, 11: 21, 12: 23, 13: 12, 14: 11, 16: 14, 17: 7,
+        18: 4, 19: 4, 20: 1, 21: 3, 24: 1, 26: 1, 29: 1,
     }
 
 
@@ -349,9 +383,8 @@ def test_the_memo_cap_does_not_change_the_stream(monkeypatch, cap):
     # first sample on, and the default memoises every state of size 7
     monkeypatch.setattr(probability, "_MC_MEMO_STATES", cap)
     assert monte_carlo_counts(7, 200, seed=11) == {
-        -12: 1, -11: 2, -10: 2, -9: 3, -8: 4, -6: 2, -5: 12, -4: 21, -3: 19, -2: 12,
-        -1: 18, 1: 22, 2: 14, 3: 18, 4: 14, 5: 15, 6: 6, 8: 4, 9: 4, 10: 2, 11: 1,
-        12: 2, 13: 1, 15: 1,
+        -9: 5, -8: 11, -6: 10, -5: 8, -4: 12, -3: 15, -2: 25, -1: 21, 1: 22, 2: 20,
+        3: 13, 4: 17, 5: 7, 6: 5, 8: 8, 13: 1,
     }
 
     # n // 2 spare rooms per side, too few for a flat 6
@@ -361,8 +394,19 @@ def test_the_memo_cap_does_not_change_the_stream(monkeypatch, cap):
             monte_carlo_counts(6, 1, seed)
 
 
+@pytest.mark.parametrize("n, samples", [(4, 300), (5, 300), (6, 300), (7, 300), (20, 10)])
+def test_the_sampler_matches_the_hash_stream_reference(monkeypatch, n, samples):
+    # n = 4..7 step past draws >= count; n = 20 reads chained digests
+    expected, chains = _hash_stream_counts(n, samples, seed=1)
+    assert chains > 0 if n == 20 else chains == 0
+    for cap in (0, 1, probability._MC_MEMO_STATES):
+        monkeypatch.setattr(probability, "_MC_MEMO_STATES", cap)
+        assert monte_carlo_counts(n, samples, seed=1) == expected, cap
+
+
 def test_negative_seeds_are_rejected():
-    # Random seeds with |seed|, so seed -1 would replay seed 0 backwards
+    # the hash stream would take "-1:" apart from "1:", but mc keeps the rule
+    # of run --seed, where Random seeds with |seed| and -1 would replay 1
     with pytest.raises(DomainError, match="seed must be >= 0"):
         monte_carlo_counts(4, 10, seed=-1)
     assert sum(monte_carlo_counts(4, 10, seed=0).values()) == 10
