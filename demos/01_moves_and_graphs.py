@@ -54,7 +54,7 @@ def main() -> None:
 
     g = explore(start)
     print(f"flat size-4 move graph: {len(g.nodes)} states, {len(g.finals)} finals")
-    dot = export_dot(start, mode="dag", labels="pattern")
+    dot = "".join(export_dot(start, mode="dag", labels="pattern"))
     print(f"DOT export has {dot.count('->')} edges; first lines:")
     for line in dot.splitlines()[:4]:
         print("  " + line)

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from collections.abc import Iterable
 
 from .errors import BudgetExceededError, DispersionError, DomainError, MalformedStateError
 from .perms import _perm_stats, perms_of
@@ -39,22 +40,23 @@ BUDGET_EXIT = 3
 ENUMERATION_CAP = 10  # largest n that rtable --method brute and perms enumerate
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
+def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+    """Write the chunks as they come; a bare ``str`` would go one character per call."""
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         fh = open(args.out, "w")
     except OSError as e:
         raise ValueError(f"cannot write --out {args.out}: {e.strerror}") from e
     with fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _emit(args: argparse.Namespace, payload: object, lines: list[str]) -> int:
     """Write ``payload`` as JSON or ``lines`` as text/CSV, as --format asks."""
     text = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines)
-    _write(args, text + "\n")
+    _write(args, [text + "\n"])
     return 0
 
 
@@ -124,7 +126,7 @@ def cmd_finals(args: argparse.Namespace) -> int:
 
 def cmd_prob(args: argparse.Namespace) -> int:
     row = scaled_row(args.n) if args.scaled else final_distribution(flat_clusteron(args.n))
-    _write(args, row_to_csv(row) if args.format == "csv" else row_to_json(row))
+    _write(args, [row_to_csv(row) if args.format == "csv" else row_to_json(row)])
     return 0
 
 
@@ -192,7 +194,7 @@ def cmd_perms(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = run_suites(args.max_n, args.suite or None)
     text = reports_to_json(reports) if args.format == "json" else reports_to_text(reports)
-    _write(args, text)
+    _write(args, [text])
     return 0 if all(r.ok for r in reports) else 1
 
 

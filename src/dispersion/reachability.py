@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +29,7 @@ from .states import (
     validate_move,
 )
 
-# States an engine holds at once; sized by peak RSS per held state to stay under ~2 GB (README).
+# States an engine holds at once: ~1.3 GB at the heaviest peak RSS per held state, the DP's (README).
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
@@ -494,16 +494,17 @@ def export_dot(
     labels: str = "pattern",
     half: str = "full",
     prune_locked_in: bool = False,
-) -> str:
-    """Render the move tree or deduplicated move graph as DOT text.
+) -> Iterator[str]:
+    """Render the move tree or deduplicated move graph as DOT text, lazily.
 
     ``labels`` chooses between state patterns and centered sumtroids.
     ``half`` restricts the root to the left or right half of its moves
     (mirror symmetry makes the other half redundant for flat starts).
     ``prune_locked_in`` drops all children of locked-in states, which
     keep their sumtroid forever and add no information.  Both the graph
-    and a tree, whose nodes are the DOT lines it holds, are capped at
-    ``DEFAULT_NODE_BUDGET`` nodes; a tree is counted before any line is built.
+    and a tree (one node per root path) are capped at ``DEFAULT_NODE_BUDGET``
+    nodes.  Chunks come lazily, a dag's nodes in :func:`explore`'s key order;
+    every error, the tree count included, is raised before the first line.
     """
     if mode not in ("tree", "dag"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -526,30 +527,32 @@ def export_dot(
         edges = g.edges[s]
         return _half_slice(edges, half) if s == initial else edges
 
-    lines = ["digraph dispersion {", "  node [shape=box];"]
-    if mode == "dag":
-        kept = _bfs(initial, children, DEFAULT_NODE_BUDGET)
-        for s in kept.nodes:
-            lines.append(f'  {_dot_id(s.text())} [label="{label(s)}"];')
-        for s in kept.nodes:
-            for t in kept.edges[s]:
-                lines.append(f"  {_dot_id(s.text())} -> {_dot_id(t.text())};")
-    else:
-        size: dict[RoomState, int] = {}  # tree nodes under each state, itself included
-        for s in reversed(g.nodes):
-            size[s] = 1 + sum(size[t] for t in children(s))
-        if size[initial] > DEFAULT_NODE_BUDGET:
-            raise BudgetExceededError(DEFAULT_NODE_BUDGET)
-        taken: dict[str, int] = {}
+    paths = dict.fromkeys(g.nodes, 0)  # paths from the root over kept edges: tree nodes per state
+    paths[initial] = 1
+    for s in g.nodes:  # key order is topological, so paths[s] is complete here
+        for t in children(s):
+            paths[t] += paths[s]
+    if mode == "tree" and sum(paths.values()) > DEFAULT_NODE_BUDGET:
+        raise BudgetExceededError(DEFAULT_NODE_BUDGET)
 
-        def emit(s: RoomState, parent_id: str | None) -> None:
-            node_id = _dot_id(s.text(), taken)
-            lines.append(f'  {node_id} [label="{label(s)}"];')
-            if parent_id is not None:
-                lines.append(f"  {parent_id} -> {node_id};")
-            for t in children(s):
-                emit(t, node_id)
-
-        emit(initial, None)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    def lines() -> Iterator[str]:
+        yield "digraph dispersion {\n  node [shape=box];\n"
+        if mode == "dag":
+            kept = [s for s, count in paths.items() if count]
+            for s in kept:
+                yield f'  {_dot_id(s.text())} [label="{label(s)}"];\n'
+            for s in kept:
+                for t in children(s):
+                    yield f"  {_dot_id(s.text())} -> {_dot_id(t.text())};\n"
+        else:
+            taken: dict[str, int] = {}
+            stack: list[tuple[RoomState, str | None]] = [(initial, None)]
+            while stack:  # depth first, children in move order
+                s, parent_id = stack.pop()
+                node_id = _dot_id(s.text(), taken)
+                yield f'  {node_id} [label="{label(s)}"];\n'
+                if parent_id is not None:
+                    yield f"  {parent_id} -> {node_id};\n"
+                stack.extend((t, node_id) for t in reversed(children(s)))
+        yield "}\n"
+    return lines()

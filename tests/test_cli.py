@@ -4,7 +4,17 @@ import re
 
 import pytest
 
-from dispersion import BudgetExceededError, cli, explore, parse_state, placement_of, reachability, sumtroid
+from dispersion import (
+    BudgetExceededError,
+    cli,
+    explore,
+    export_dot,
+    flat_clusteron,
+    parse_state,
+    placement_of,
+    reachability,
+    sumtroid,
+)
 from dispersion.verify import CheckResult, VerifyReport
 
 
@@ -288,6 +298,18 @@ def test_budget_errors_exit_three(capsys, monkeypatch):
     capsys.readouterr()
     assert cli.main(["rtable", "--n", "11"]) == 3
     assert "--method recursion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, budget", [("tree", 19), ("dag", 17)])
+def test_a_dot_budget_trip_comes_before_any_output(capsys, monkeypatch, tmp_path, mode, budget):
+    # flat 4 has 18 states and a tree of 20 nodes: the tree trips its own count, the dag explore
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", budget)
+    with pytest.raises(BudgetExceededError):
+        export_dot(flat_clusteron(4), mode=mode)  # at the call, with no chunk read
+    target = tmp_path / "graph.dot"
+    assert cli.main(["graph", "--state", "1111", "--mode", mode, "--out", str(target)]) == 3
+    assert not target.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_a_budget_trip_in_verify_exits_three_not_one(capsys, monkeypatch):

@@ -1,4 +1,6 @@
 """Exhaustive exploration, final classification, and locked-in structure."""
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -238,14 +240,14 @@ def test_key_order_matches_the_entropy_order_references(starts, monkeypatch):
     for start, g in zip(starts, graphs):
         locked, sizes = _entropy_references(g)
         assert locked_in_map(g) == locked, start.text()
-        # export_dot reuses the graph and the map just checked; only its tree sizes run
+        # export_dot reuses the graph and the map just checked; only its path counts run
         monkeypatch.setattr(reachability, "explore", lambda s: g)
         monkeypatch.setattr(reachability, "locked_in_map", lambda graph: locked)
         for options, size in zip(_DOT_OPTIONS, sizes):
             # the tree fits a budget of exactly its reference size, and not one less
             monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", size)
             with pytest.raises(_Emitting):
-                export_dot(start, mode="tree", **options)
+                "".join(export_dot(start, mode="tree", **options))
             monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", size - 1)
             with pytest.raises(BudgetExceededError):
                 export_dot(start, mode="tree", **options)
@@ -393,16 +395,16 @@ def test_random_policy_is_seed_deterministic():
 
 
 def test_dot_export_modes():
-    full = export_dot(flat_clusteron(4), mode="dag")
+    full = "".join(export_dot(flat_clusteron(4), mode="dag"))
     assert full.startswith("digraph")
     assert full.count("label=") == 18
-    tree = export_dot(flat_clusteron(4), mode="tree", labels="sumtroid")
+    tree = "".join(export_dot(flat_clusteron(4), mode="tree", labels="sumtroid"))
     assert tree.count("->") == 19
-    pruned = export_dot(flat_clusteron(5), mode="dag", prune_locked_in=True)
-    assert pruned.count("label=") < export_dot(flat_clusteron(5), mode="dag").count(
+    pruned = "".join(export_dot(flat_clusteron(5), mode="dag", prune_locked_in=True))
+    assert pruned.count("label=") < "".join(export_dot(flat_clusteron(5), mode="dag")).count(
         "label="
     )
-    half = export_dot(flat_clusteron(4), mode="tree", half="left")
+    half = "".join(export_dot(flat_clusteron(4), mode="tree", half="left"))
     assert half.count("->") < tree.count("->")
 
 
@@ -415,8 +417,44 @@ def test_dot_tree_budget_counts_the_emitted_tree(monkeypatch, n, options, nodes)
     start = flat_clusteron(n) if isinstance(n, int) else parse_state(n)
     # each tree outgrows its graph (18, 72, 274 and 21 states): the budget bounds the tree exactly
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", nodes)
-    tree = export_dot(start, mode="tree", **options)
+    tree = "".join(export_dot(start, mode="tree", **options))
     assert tree.count("label=") == nodes
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", nodes - 1)
     with pytest.raises(BudgetExceededError):
         export_dot(start, mode="tree", **options)
+
+
+def _reference_dag(g, locked, half="full", prune_locked_in=False):
+    """Reference dag, a ``_bfs`` through the kept edges: its node lines and edge-line multiset."""
+
+    def children(s):
+        if prune_locked_in and locked[s]:
+            return ()
+        return reachability._half_slice(g.edges[s], half) if s == g.initial else g.edges[s]
+
+    kept = reachability._bfs(g.initial, children, len(g.nodes))
+    dot_id = reachability._dot_id
+    # listed in key order, as export_dot lists them; the edges in any order
+    nodes = [f'  {dot_id(s.text())} [label="{s.text()}"];' for s in g.nodes if s in kept.edges]
+    edges = Counter(f"  {dot_id(s.text())} -> {dot_id(t.text())};" for s in kept.nodes for t in kept.edges[s])
+    return nodes, edges
+
+
+_DAG_STARTS = [
+    *(flat_clusteron(n) for n in range(1, 9)),
+    *(clusteron(p) for n in range(2, 7) for p in compositions(n)),
+    *(parse_state(t) for t in ("2112", "1201@-2", "141")),
+]
+
+
+def test_dag_export_equals_a_bfs_through_the_kept_edges():
+    for start in _DAG_STARTS:
+        g = explore(start)
+        locked = locked_in_map(g)
+        for options in _DOT_OPTIONS:
+            nodes, edges = _reference_dag(g, locked, **options)
+            lines = "".join(export_dot(start, mode="dag", **options)).splitlines()
+            assert lines[:2] == ["digraph dispersion {", "  node [shape=box];"]
+            assert lines[-1] == "}"
+            assert lines[2 : 2 + len(nodes)] == nodes, (start.text(), options)
+            assert Counter(lines[2 + len(nodes) : -1]) == edges, (start.text(), options)
