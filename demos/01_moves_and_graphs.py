@@ -41,7 +41,7 @@ def main() -> None:
     labeled = LabeledState.from_state(s)
     while not is_final(s):
         m = available_moves(s)[0]
-        labeled = apply_move_labeled(labeled, m, state=s)
+        labeled = apply_move_labeled(labeled, m)
         s = apply_move(s, m)
         print(f"  {s.text():>14}  entropy {entropy(s)}")
     print(f"final occupant rooms, in order: {labeled.positions}")

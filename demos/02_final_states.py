@@ -24,7 +24,7 @@ def main() -> None:
     n = 5
     print(f"the final shadow family for {n} occupants:")
     for fid in sorted(final_shadow_family(n)):
-        print(f"  F({fid.n},{fid.k}) = {fid.to_shadow().pattern()}")
+        print(f"  F({fid.n},{fid.k}) = {fid.to_state().pattern()}")
     print()
 
     print("every width->=2 clusteron of size 4 reaches the whole family:")

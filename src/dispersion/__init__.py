@@ -21,7 +21,6 @@ from .states import (
     LabeledState,
     Move,
     RoomState,
-    Shadow,
     apply_move,
     apply_move_labeled,
     available_moves,
@@ -35,16 +34,13 @@ from .states import (
     has_crowded_isolated_room,
     is_final,
     parse_state,
-    shadow,
     state_from_positions,
     sumtroid,
 )
 from .suites import (
     SuiteMove,
-    SuiteState,
     apply_suite_move,
     from_suites,
-    parse_suite_state,
     suite_move_for,
     suite_moves,
     to_suites,

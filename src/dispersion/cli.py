@@ -29,7 +29,6 @@ from .states import (
     classify_final_shadow,
     flat_clusteron,
     parse_state,
-    shadow,
     sumtroid,
 )
 from .trees import r_table_bruteforce, r_table_recursive
@@ -107,7 +106,7 @@ def cmd_finals(args: argparse.Namespace) -> int:
     k0 = sumtroid(s)
     rows = []
     for f in sorted(final_states(s), key=sumtroid):
-        fid = classify_final_shadow(shadow(f))
+        fid = classify_final_shadow(f)
         rows.append(
             {
                 "state": f.text(),

@@ -24,7 +24,6 @@ from .states import (
     centered_sumtroid,
     classify_final_shadow,
     gaps,
-    shadow,
     sumtroid,
     validate_move,
 )
@@ -222,7 +221,7 @@ def final_shadow_set(initial: RoomState) -> frozenset[FinalShadowId]:
     out = set()
     bad = []
     for f in final_states(initial):
-        fid = classify_final_shadow(shadow(f))
+        fid = classify_final_shadow(f)
         if fid is None:
             bad.append(f.text())
         else:
@@ -245,7 +244,7 @@ class FinalPlacement(NamedTuple):
 
 
 def placement_of(final_state: RoomState) -> FinalPlacement:
-    fid = classify_final_shadow(shadow(final_state))
+    fid = classify_final_shadow(final_state)
     if fid is None:
         raise DomainError(f"not a family final: {final_state.text()}")
     return FinalPlacement(fid, final_state.offset)

@@ -13,6 +13,10 @@ is finite, so every move is always fully determined by its pair.
 Pattern strings use one character per room ("1011"), a bracketed count
 for occupancies above nine ("1[12]1"), and an optional "@k" suffix
 giving the absolute room index of the first character ("1011@-1").
+
+A shadow is a state with its position forgotten.  It has no type of
+its own: shadow functions (:func:`gaps`, :func:`classify_final_shadow`)
+take a :class:`RoomState` and read only its occupancy.
 """
 from __future__ import annotations
 
@@ -22,11 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import (
-    InvalidMoveError,
-    InvariantViolationError,
-    MalformedStateError,
-)
+from .errors import InvalidMoveError, MalformedStateError
 
 # [0-9], not \d: patterns are ASCII, and \d also matches other scripts' digits
 _PATTERN_RE = re.compile(r"(?P<body>(?:[0-9]|\[[0-9]+\])+)(?:@(?P<offset>-?[0-9]+))?\Z")
@@ -271,9 +271,7 @@ class LabeledState:
         return state_from_positions(self.positions)
 
 
-def apply_move_labeled(
-    ls: LabeledState, m: Move, state: RoomState | None = None
-) -> LabeledState:
+def apply_move_labeled(ls: LabeledState, m: Move) -> LabeledState:
     """Apply a move to labeled occupants by pushing.
 
     The occupant leaving room i steps one room left; if that room is
@@ -282,10 +280,6 @@ def apply_move_labeled(
     Left-to-right order is preserved, so the result stays sorted and
     its multiset equals the unlabeled ``apply_move`` result.
     """
-    if state is not None and state.positions() != ls.positions:
-        raise InvariantViolationError(
-            f"labeled positions {ls.positions} do not match state {state.text()}"
-        )
     validate_move(ls.to_state(), m)
     pos = list(ls.positions)
     # Push left: one occupant of each room i, i-1, ..., i-l+1 steps left.
@@ -325,7 +319,7 @@ def centered_sumtroid(s: RoomState) -> int:
     return sumtroid(s) - n * (n - 1) // 2
 
 
-def gaps(s: RoomState | Shadow) -> tuple[int, ...]:
+def gaps(s: RoomState) -> tuple[int, ...]:
     """Sizes of the maximal empty runs strictly inside the window."""
     out = []
     run = 0
@@ -339,23 +333,6 @@ def gaps(s: RoomState | Shadow) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Shadow:
-    """A state with its absolute position forgotten."""
-
-    occupancy: tuple[int, ...]
-
-    def pattern(self) -> str:
-        return "".join(_format_count(c) for c in self.occupancy)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.pattern()
-
-
-def shadow(s: RoomState) -> Shadow:
-    return Shadow(s.occupancy)
-
-
 class FinalShadowId(NamedTuple):
     """The final shadow with n single rooms, all gaps 1 except one 2-gap.
 
@@ -366,16 +343,13 @@ class FinalShadowId(NamedTuple):
     n: int
     k: int
 
-    def to_shadow(self) -> Shadow:
+    def to_state(self, leftmost: int = 0) -> RoomState:
         occ: list[int] = []
         for i in range(1, self.n):
             occ.append(1)
             occ.extend([0, 0] if i == self.k else [0])
         occ.append(1)
-        return Shadow(tuple(occ))
-
-    def to_state(self, leftmost: int = 0) -> RoomState:
-        return RoomState(leftmost, self.to_shadow().occupancy)
+        return RoomState(leftmost, tuple(occ))
 
 
 def final_shadow_family(n: int) -> frozenset[FinalShadowId]:
@@ -383,15 +357,18 @@ def final_shadow_family(n: int) -> frozenset[FinalShadowId]:
     return frozenset(FinalShadowId(n, k) for k in range(1, n))
 
 
-def classify_final_shadow(sh: Shadow) -> FinalShadowId | None:
-    """Recognize a member of the final shadow family, else None."""
-    occ = sh.occupancy
+def classify_final_shadow(s: RoomState) -> FinalShadowId | None:
+    """Recognize the shadow of s in the final shadow family, else None.
+
+    Only the occupancy is read, so the position of s does not matter.
+    """
+    occ = s.occupancy
     if any(c > 1 for c in occ):
         return None
     n = sum(occ)
     if n < 2 or len(occ) != 2 * n:
         return None
-    gap_sizes = gaps(sh)
+    gap_sizes = gaps(s)
     if len(gap_sizes) != n - 1 or sorted(gap_sizes) != [1] * (n - 2) + [2]:
         return None
     return FinalShadowId(n, gap_sizes.index(2) + 1)

@@ -3,60 +3,23 @@
 A suite is a maximal block of consecutively occupied rooms.  The codec
 writes each block as its size and each gap of g empty rooms as g-1
 zero cells, so the room pattern "1011001" becomes the suite pattern
-"1201".  On single-occupancy states the translation is a bijection; a
-move splitting a suite of size k into x and k-x mirrors the room move
-fired at the x-th adjacent pair of the block, and both change the
-centroid by the same amount.
+"1201".  The suite view is itself a :class:`RoomState` at the room
+offset whose positive cells hold the suite sizes.  On single-occupancy
+states the translation is a bijection; a move splitting a suite of size
+k into x and k-x mirrors the room move fired at the x-th adjacent pair
+of the block, and both change the centroid by the same amount.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceededError, DomainError, InvalidMoveError, MalformedStateError
+from .errors import BudgetExceededError, DomainError, InvalidMoveError
 from .reachability import ReachGraph, _bfs
-from .states import Move, RoomState, available_moves, parse_state
+from .states import Move, RoomState, available_moves, sumtroid
 
 
-@dataclass(frozen=True)
-class SuiteState:
-    """Cell counts of the suite view; ``cells[j]`` sits at ``offset + j``.
-
-    The first and last cells are always positive; zero cells act as
-    spacers for gaps wider than one room.
-    """
-
-    offset: int
-    cells: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c = self.cells
-        if not c or c[0] <= 0 or c[-1] <= 0 or any(v < 0 for v in c):
-            raise MalformedStateError(f"bad suite cells {c!r}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.cells)
-
-    def pattern(self) -> str:
-        return "".join(str(v) if v < 10 else f"[{v}]" for v in self.cells)
-
-    def text(self) -> str:
-        if self.offset:
-            return f"{self.pattern()}@{self.offset}"
-        return self.pattern()
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.text()
-
-
-def parse_suite_state(text: str) -> SuiteState:
-    """Parse a suite pattern; the room-pattern syntax and trimming apply."""
-    s = parse_state(text)
-    return SuiteState(s.offset, s.occupancy)
-
-
-def to_suites(s: RoomState) -> SuiteState:
+def to_suites(s: RoomState) -> RoomState:
     """Encode a single-occupancy state as suites.
 
     The suite window keeps the room offset, which makes the encoding a
@@ -79,14 +42,14 @@ def to_suites(s: RoomState) -> SuiteState:
             run = 0
             gap += 1
     cells.append(run)
-    return SuiteState(s.offset, tuple(cells))
+    return RoomState(s.offset, tuple(cells))
 
 
-def from_suites(ss: SuiteState) -> RoomState:
+def from_suites(ss: RoomState) -> RoomState:
     """Decode suites back to rooms; inverse of :func:`to_suites`."""
     occ: list[int] = []
     zeros = 0
-    for v in ss.cells:
+    for v in ss.occupancy:
         if v == 0:
             zeros += 1
             continue
@@ -105,23 +68,23 @@ class SuiteMove:
     split: int
 
 
-def suite_moves(ss: SuiteState) -> list[SuiteMove]:
+def suite_moves(ss: RoomState) -> list[SuiteMove]:
     """All splits, ordered by cell position then split size."""
     out = []
-    for j, v in enumerate(ss.cells):
+    for j, v in enumerate(ss.occupancy):
         if v >= 2:
             out.extend(SuiteMove(ss.offset + j, x) for x in range(1, v))
     return out
 
 
-def apply_suite_move(ss: SuiteState, m: SuiteMove) -> SuiteState:
+def apply_suite_move(ss: RoomState, m: SuiteMove) -> RoomState:
     j = m.position - ss.offset
-    if not (0 <= j < len(ss.cells)) or ss.cells[j] < 2:
+    if not (0 <= j < len(ss.occupancy)) or ss.occupancy[j] < 2:
         raise InvalidMoveError(f"no splittable suite at {m.position} in {ss.text()}")
-    k = ss.cells[j]
+    k = ss.occupancy[j]
     if not (1 <= m.split <= k - 1):
         raise InvalidMoveError(f"split {m.split} out of range for suite of {k}")
-    cells = list(ss.cells)
+    cells = list(ss.occupancy)
     offset = ss.offset
     cells[j] = 0
     if j == 0:
@@ -134,15 +97,11 @@ def apply_suite_move(ss: SuiteState, m: SuiteMove) -> SuiteState:
         cells.append(k - m.split)
     else:
         cells[j + 1] += k - m.split
-    return SuiteState(offset, tuple(cells))
+    return RoomState(offset, tuple(cells))
 
 
-def suite_sumtroid(ss: SuiteState) -> int:
-    return sum(v * (ss.offset + j) for j, v in enumerate(ss.cells))
-
-
-def suite_centroid(ss: SuiteState) -> Fraction:
-    return Fraction(suite_sumtroid(ss), ss.total)
+def suite_centroid(ss: RoomState) -> Fraction:
+    return Fraction(sumtroid(ss), ss.total)
 
 
 def suite_move_for(s: RoomState, m: Move) -> SuiteMove:
@@ -159,7 +118,7 @@ def suite_move_for(s: RoomState, m: Move) -> SuiteMove:
         prev = c
         if room == m.left_room:
             break
-    positive = [j for j, v in enumerate(ss.cells) if v > 0]
+    positive = [j for j, v in enumerate(ss.occupancy) if v > 0]
     return SuiteMove(ss.offset + positive[run_index], m.left_room - run_start + 1)
 
 

@@ -65,7 +65,7 @@ from .states import (
     parse_state,
     sumtroid,
 )
-from .suites import from_suites, parse_suite_state, to_suites, verify_move_correspondence
+from .suites import from_suites, to_suites, verify_move_correspondence
 from .trees import (
     RTable,
     ab_identities_check,
@@ -288,7 +288,7 @@ def labeled_pushing(ctx: RunContext, top: int) -> str:
         for s in g.nodes:
             ls = LabeledState.from_state(s)
             for m, t in zip(available_moves(s), g.edges[s]):
-                pushed = apply_move_labeled(ls, m, state=s)
+                pushed = apply_move_labeled(ls, m)
                 assert pushed.to_state() == t, (s.text(), m)
                 assert pushed.positions == tuple(sorted(pushed.positions))
                 moves += 1
@@ -320,7 +320,7 @@ def displacement_bound(ctx: RunContext, top: int) -> str:
 @check("suites-bijection", "suites.codec", "run-length encoding to suites is invertible")
 def codec(ctx: RunContext, top: int) -> str:
     assert to_suites(parse_state("1011001")).pattern() == "1201"
-    assert from_suites(parse_suite_state("1201")).pattern() == "1011001"
+    assert from_suites(parse_state("1201")).pattern() == "1011001"
     for text in ("11", "101", "110011001", "10010101"):
         s = parse_state(text)
         assert from_suites(to_suites(s)) == s, text
@@ -347,9 +347,9 @@ def move_correspondence(ctx: RunContext, top: int) -> str:
     ]
     for s, t in zip(chain, chain[1:]):
         assert t in [apply_move(s, m) for m in available_moves(s)], (s.text(), t.text())
-    got = [to_suites(s).cells for s in chain]
+    got = [to_suites(s).occupancy for s in chain]
     assert got == [(4,), (1, 0, 3), (1, 2, 0, 1), (2, 0, 1, 1), (1, 0, 1, 1, 1)], got
-    first = {to_suites(apply_move(chain[0], m)).cells for m in available_moves(chain[0])}
+    first = {to_suites(apply_move(chain[0], m)).occupancy for m in available_moves(chain[0])}
     assert first == {(1, 0, 3), (2, 0, 2), (3, 0, 1)}, first
     if top < 2:
         return "size-4 worked chain only; the flat-start sweep needs max-n >= 2"

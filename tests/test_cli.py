@@ -279,7 +279,7 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert err == f"error: cannot write --out {missing}: No such file or directory\n"
 
 
-def test_budget_errors_exit_three(capsys, monkeypatch):
+def test_budget_errors_exit_three(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 3)
     for argv in (
         ["graph", "--state", "111111"],
@@ -291,9 +291,13 @@ def test_budget_errors_exit_three(capsys, monkeypatch):
         assert cli.main(argv) == 3, argv
         assert "budget exceeded" in capsys.readouterr().err
     monkeypatch.undo()
-    # 1,160 states, but a tree of 550,887,617 nodes: counted before any line is built
-    assert cli.main(["graph", "--state", "21301", "--mode", "tree"]) == 3
-    capsys.readouterr()
+    # 278 states, but a tree of 1,169,872 nodes: counted before any line is built,
+    # so no file is opened; a miscount writes a bounded file and fails here
+    target = tmp_path / "tree.dot"
+    argv = ["graph", "--state", "1200103", "--mode", "tree", "--out", str(target)]
+    assert cli.main(argv) == 3
+    assert not target.exists()
+    assert "budget exceeded" in capsys.readouterr().err
     assert cli.main(["perms", "--n", "12", "--stat", "descent"]) == 3
     capsys.readouterr()
     assert cli.main(["rtable", "--n", "11"]) == 3

@@ -8,7 +8,7 @@ from dispersion import (
     DomainError,
     MalformedStateError,
     ReachGraph,
-    SuiteState,
+    RoomState,
     apply_move,
     apply_suite_move,
     available_moves,
@@ -16,14 +16,14 @@ from dispersion import (
     flat_clusteron,
     from_suites,
     parse_state,
-    parse_suite_state,
     state_from_positions,
+    sumtroid,
     suite_move_for,
     suite_moves,
     to_suites,
     verify_move_correspondence,
 )
-from dispersion.suites import suite_centroid, suite_sumtroid
+from dispersion.suites import suite_centroid
 
 single_states = st.builds(
     state_from_positions, st.sets(st.integers(-9, 9), min_size=1, max_size=9)
@@ -31,9 +31,10 @@ single_states = st.builds(
 
 
 def test_codec_on_the_documented_example():
-    assert to_suites(parse_state("1011001")).cells == (1, 2, 0, 1)
+    assert to_suites(parse_state("1011001")).occupancy == (1, 2, 0, 1)
     assert to_suites(parse_state("1011001")).text() == "1201"
-    assert from_suites(parse_suite_state("1201")).pattern() == "1011001"
+    assert to_suites(parse_state("1011001")) == parse_state("1201")
+    assert from_suites(parse_state("1201")).pattern() == "1011001"
 
 
 def test_codec_keeps_the_offset():
@@ -49,13 +50,13 @@ def test_multiple_occupancy_has_no_suite_view():
 
 
 def test_suite_windows_must_end_in_blocks():
-    assert parse_suite_state("012").offset == 1
+    assert parse_state("012").offset == 1
     with pytest.raises(MalformedStateError):
-        parse_suite_state("0")
+        parse_state("0")
     with pytest.raises(MalformedStateError):
-        SuiteState(0, (1, 2, 0))
+        RoomState(0, (1, 2, 0))
     with pytest.raises(MalformedStateError):
-        parse_suite_state("\u0662")
+        parse_state("\u0662")
 
 
 @given(single_states)
@@ -65,7 +66,7 @@ def test_codec_roundtrip_is_identity(s):
 
 def test_splits_of_the_flat_four_suite():
     ss = to_suites(flat_clusteron(4))
-    assert ss.cells == (4,)
+    assert ss.occupancy == (4,)
     results = {apply_suite_move(ss, m).text() for m in suite_moves(ss)}
     assert results == {"103@-1", "202@-1", "301@-1"}
 
@@ -79,7 +80,7 @@ def test_suite_moves_mirror_room_moves(s):
         t = apply_move(s, m)
         tt = apply_suite_move(ss, suite_move_for(s, m))
         assert tt == to_suites(t)
-        assert suite_sumtroid(tt) - suite_sumtroid(ss) == m.sumtroid_delta
+        assert sumtroid(tt) - sumtroid(ss) == m.sumtroid_delta
         assert suite_centroid(tt) - suite_centroid(ss) == Fraction(
             m.sumtroid_delta, s.total
         )
