@@ -1,12 +1,13 @@
 """Exhaustive exploration of the move graph and its structural checks.
 
-Everything here is exact and deterministic: breadth-first discovery
-with canonical deduplication, final-state classification, the
+Everything here is exact and deterministic: a walk of packed keys in
+increasing order that holds only its frontier, final-state classification, the
 spacious/locked-in equivalence, gap counting, displacement tracking,
 and DOT export of move trees and graphs.
 """
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from collections import deque
@@ -28,7 +29,8 @@ from .states import (
     validate_move,
 )
 
-# States an engine holds at once: ~1.3 GB at the heaviest peak RSS per held state, the DP's (README).
+# States an engine holds at once (explore's nodes, a walk's waiting keys, the DP's pending
+# masses): ~1.3 GB at the heaviest peak RSS per held state, the DP's (README).
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
@@ -36,9 +38,9 @@ DEFAULT_NODE_BUDGET = 1_000_000
 class ReachGraph:
     """All states reachable from ``initial``; a state is any hashable value.
 
-    ``nodes`` starts with ``initial``: :func:`explore` lists them in
-    increasing packed-key order, a topological order, and ``_bfs`` in
-    discovery order.  ``edges`` maps each state to its successors in order,
+    ``nodes`` starts with ``initial``: :func:`explore` lists them as its walk
+    pops their keys, in increasing key order, which is topological, and
+    ``_bfs`` in discovery order.  ``edges`` maps each state to its successors in order,
     so that in :func:`explore` ``edges[s][i] == apply_move(s, available_moves(s)[i])``.
     """
 
@@ -155,8 +157,8 @@ def _window_error(key: int, b: int, floor: int, width: int) -> InvariantViolatio
     return InvariantViolationError(f"{state} reaches an end of the {width}-room window")
 
 
-def _unpack(key: int, b: int, floor: int) -> RoomState:
-    """The state of a nonzero key whose lowest field is room ``floor``."""
+def _unpack(key: int, b: int, floor: int, shapes: dict | None = None) -> RoomState:
+    """The state of a nonzero key whose lowest field is room ``floor``; ``shapes`` interns its tuple."""
     skip = ((key & -key).bit_length() - 1) // b  # empty rooms below the first occupant
     key >>= b * skip
     field = (1 << b) - 1
@@ -164,50 +166,71 @@ def _unpack(key: int, b: int, floor: int) -> RoomState:
     while key:
         counts.append(key & field)
         key >>= b
-    return RoomState(floor + skip, tuple(counts))
+    occ = tuple(counts)
+    return RoomState(floor + skip, occ if shapes is None else shapes.setdefault(occ, occ))
 
 
-def _packed_graph(window: tuple, stop: Callable[[int], bool] | None = None) -> ReachGraph:
-    """Every search's BFS over the window's packed keys; a key ``stop`` holds gets no successors."""
+def _walk(window: tuple, stop: Callable[[int], bool] | None = None) -> Iterator[tuple[int, list]]:
+    """Each key reachable in the window with its successors, in increasing key order.
+
+    Every move raises the key, so a popped key is never reached again and
+    only the keys still waiting are held; more than ``DEFAULT_NODE_BUDGET``
+    of them raise :class:`BudgetExceededError`.  A key ``stop`` holds gets
+    no successors.
+    """
     b, floor, width, start, digits, ends = window
-
-    def step(key: int) -> list[int]:
+    heap, waiting = [start], {start}
+    while heap:
+        if len(heap) > DEFAULT_NODE_BUDGET:
+            raise BudgetExceededError(DEFAULT_NODE_BUDGET)
+        key = heapq.heappop(heap)
+        waiting.remove(key)
         if key & ends:
             raise _window_error(key, b, floor, width)
-        return [] if stop is not None and stop(key) else _packed_successors(key, b, digits)
-
-    return _bfs(start, step, DEFAULT_NODE_BUDGET)
+        succ = [] if stop is not None and stop(key) else _packed_successors(key, b, digits)
+        for t in succ:
+            if t not in waiting:
+                waiting.add(t)
+                heapq.heappush(heap, t)
+        yield key, succ
 
 
 def explore(initial: RoomState) -> ReachGraph:
     """The move graph of ``initial``: one successor per available move.
 
-    The search runs over packed keys on the exact DP's window (see
-    :func:`_spare_rooms`); each distinct key is then built into one
-    :class:`RoomState`, in increasing key order.  Raises
+    Nodes come in :func:`_walk`'s increasing key order on the exact DP's
+    window (see :func:`_spare_rooms`).  Each state is built once, when
+    first reached, and translates share one occupancy tuple.  Raises
     :class:`BudgetExceededError` when more than ``DEFAULT_NODE_BUDGET``
     states are reachable, and :class:`InvariantViolationError` when a
     state reaches the first or last room of the window.
     """
-    b, floor, *_ = window = _window(initial)
-    packed = _packed_graph(window).edges
-    state = {key: _unpack(key, b, floor) for key in sorted(packed)}
-    # pop each packed successor list as its tuple is built, so three full dicts never coexist
-    edges = {s: tuple(map(state.__getitem__, packed.pop(key))) for key, s in state.items()}
+    b, floor, _, start, _, _ = window = _window(initial)
+    shapes: dict = {}
+    waiting = {start: _unpack(start, b, floor, shapes)}  # the state of each key not yet expanded
+    edges: dict = {}
+    for key, succ in _walk(window):
+        if len(edges) >= DEFAULT_NODE_BUDGET:
+            raise BudgetExceededError(DEFAULT_NODE_BUDGET)
+        out = []
+        for t in succ:
+            s = waiting.get(t)
+            if s is None:
+                s = waiting[t] = _unpack(t, b, floor, shapes)
+            out.append(s)
+        edges[waiting.pop(key)] = tuple(out)
     nodes = tuple(edges)
     return ReachGraph(nodes[0], nodes, edges)
 
 
 def final_states(initial: RoomState) -> tuple[RoomState, ...]:
-    """``explore(initial).finals``, building a state only for each final key.
+    """``explore(initial).finals``, holding only the search's frontier.
 
-    The search and its errors are those of :func:`explore`; the finals
-    come in its increasing key order.
+    The walk and its errors are those of :func:`explore`, but its budget
+    counts the keys waiting at once; the finals come in key order.
     """
     b, floor, *_ = window = _window(initial)
-    packed = _packed_graph(window).edges
-    finals = sorted(key for key, succ in packed.items() if not succ)
-    return tuple(_unpack(key, b, floor) for key in finals)
+    return tuple(_unpack(key, b, floor) for key, succ in _walk(window) if not succ)
 
 
 def final_shadow_set(initial: RoomState) -> frozenset[FinalShadowId]:
@@ -349,34 +372,41 @@ def gap_delta_class(s: RoomState, m: Move) -> int:
 def earliest_gap_decrease(initial: RoomState) -> int | None:
     """Smallest move number (1-based) at which a -1 gap event can occur.
 
-    The search (and errors) of :func:`explore` expands nothing past the
-    first state with a -1 move: depths never decrease in discovery order.
+    Its breadth-first search, with the errors of :func:`explore`, expands nothing
+    past the first state with a -1 move: depths never decrease in discovery order.
     """
-    b, floor, *_ = window = _window(initial)
+    b, floor, width, start, digits, ends = _window(initial)
     found = []
 
-    def stop(key: int) -> bool:
+    def step(key: int) -> list[int]:
+        if key & ends:
+            raise _window_error(key, b, floor, width)
         if not found:
             s = _unpack(key, b, floor)
             if s.single_occupancy and -1 in (gap_delta_class(s, m) for m in available_moves(s)):
                 found.append(key)
-        return bool(found)
+        return [] if found else _packed_successors(key, b, digits)
 
-    g = _packed_graph(window, stop)
+    g = _bfs(start, step, DEFAULT_NODE_BUDGET)
     return g.depths()[found[0]] + 1 if found else None
 
 
 def crowded_states(initial: RoomState) -> tuple[RoomState, ...]:
-    """The reachable states with a crowded room, in discovery order.
+    """The reachable states with a crowded room, in increasing key order.
 
     Moves fill only empty rooms, so a single-occupancy state leads only
-    to single-occupancy states; the search (and errors) of :func:`explore`
-    does not expand it.
+    to single-occupancy states, which the walk does not expand.  The
+    budget counts its waiting keys and, apart, the crowded states found.
     """
     b, floor, _, _, digits, _ = window = _window(initial)
     crowd = ~digits  # a crowded room's field holds a bit above its lowest
-    g = _packed_graph(window, lambda key: not key & crowd)
-    return tuple(_unpack(key, b, floor) for key in g.nodes if key & crowd)
+    out = []
+    for key, _ in _walk(window, lambda key: not key & crowd):
+        if key & crowd:
+            if len(out) >= DEFAULT_NODE_BUDGET:
+                raise BudgetExceededError(DEFAULT_NODE_BUDGET)
+            out.append(_unpack(key, b, floor))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

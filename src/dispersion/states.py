@@ -52,7 +52,7 @@ def _format_count(c: int) -> str:
     return str(c) if c < 10 else f"[{c}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoomState:
     """Occupancy window of the room line.
 

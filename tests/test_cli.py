@@ -97,7 +97,7 @@ def test_finals_json_of_a_crowded_start_lists_the_graphs_finals(capsys):
             "leftmost": f.offset,
             "sumtroid_change": sumtroid(f) - sumtroid(s),
         }
-        for f in sorted(explore(s).finals, key=sumtroid)  # stable: ties keep discovery order
+        for f in sorted(explore(s).finals, key=sumtroid)  # stable: ties keep key order
     ]
     code, out = run_cli(capsys, "finals", "--state", "261", "--format", "json")
     assert code == 0

@@ -89,19 +89,37 @@ def test_edges_hold_the_successors_in_move_order(start, reference_explore):
     assert final_states(start) == g.finals
 
 
+def test_explore_shares_one_occupancy_tuple_per_shape():
+    g = explore(flat_clusteron(9))
+    shapes = {s.occupancy for s in g.nodes}
+    assert (len(g.nodes), len(shapes)) == (10_439, 2_329)
+    assert len({id(s.occupancy) for s in g.nodes}) == len(shapes)
+
+
 def test_explore_respects_its_node_budget(monkeypatch):
+    # explore holds the whole graph; final_states holds only the keys waiting in its walk
+    s141 = parse_state("141")
+    finals = explore(s141).finals  # before the budget is patched
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 25)
     with pytest.raises(BudgetExceededError) as exc:
         explore(flat_clusteron(7))
     assert exc.value.budget == 25
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 316)
-    assert len(explore(parse_state("141")).nodes) == 316
-    assert final_states(parse_state("141")) == explore(parse_state("141")).finals
+    assert len(explore(s141).nodes) == 316
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 315)
     with pytest.raises(BudgetExceededError):
-        explore(parse_state("141"))
+        explore(s141)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 49)
+    assert final_states(s141) == finals
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 48)
     with pytest.raises(BudgetExceededError):
-        final_states(parse_state("141"))
+        final_states(s141)
+    # flat 9 has 10,439 states, but its walk never holds more than 979 keys
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 979)
+    placements = frozenset(placement_of(f) for f in final_states(flat_clusteron(9)))
+    assert placements == flat_final_placements(9)
+    with pytest.raises(BudgetExceededError):
+        explore(flat_clusteron(9))
 
 
 @pytest.mark.parametrize("text", ["11111@-3", "22", "141", "1[12]01@-2"])
@@ -331,20 +349,24 @@ def test_earliest_gap_decrease_matches_the_full_graph_search(starts, reference_e
 )
 def test_crowded_states_are_the_crowded_nodes_of_the_graph(starts, reference_explore):
     for s in starts:
-        # crowded_states keeps breadth-first discovery order
-        expected = tuple(t for t in reference_explore(s).nodes if not t.single_occupancy)
+        expected = tuple(t for t in explore(s).nodes if not t.single_occupancy)
+        assert set(expected) == {t for t in reference_explore(s).nodes if not t.single_occupancy}
         assert crowded_states(s) == expected, s.text()
 
 
 def test_locked_in_searches_respect_the_node_budget(monkeypatch):
-    # each search counts only the states it expands or stops at, not the whole graph
+    # crowded_states counts the crowded states it returns (its walk never holds
+    # more than 10 keys here); earliest_gap_decrease counts the states its
+    # breadth-first search expands or stops at
     s141, s1311 = parse_state("141"), parse_state("1311")
-    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 35)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 23)
     assert len(crowded_states(s141)) == 23
-    assert earliest_gap_decrease(s141) == 5
-    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 34)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 22)
     with pytest.raises(BudgetExceededError):
         crowded_states(s141)
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 35)
+    assert earliest_gap_decrease(s141) == 5
+    monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 34)
     with pytest.raises(BudgetExceededError):
         earliest_gap_decrease(s141)
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 48)
