@@ -28,6 +28,10 @@ class BudgetExceededError(DispersionError):
         self.budget = budget
         super().__init__(message or f"node budget of {budget} exceeded")
 
+    def __reduce__(self):
+        # the default would call BudgetExceededError(message) and wrap it again
+        return type(self), (self.budget, self.args[0])
+
 
 class TheoremViolationError(DispersionError):
     """A machine-checked structural claim failed on concrete data.

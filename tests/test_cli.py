@@ -1,6 +1,10 @@
 """Command line interface: outputs, formats, and exit codes."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from dispersion import (
     flat_clusteron,
     parse_state,
     placement_of,
+    probability,
     reachability,
     sumtroid,
 )
@@ -139,6 +144,34 @@ def test_mc_counts_are_deterministic(capsys):
     assert {c["shadow_k"] for c in payload["shadow_counts"]} <= {1, 2, 3, 4}
 
 
+def test_mc_output_does_not_depend_on_jobs(capsys, monkeypatch):
+    monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
+    argv = ["mc", "--n", "6", "--samples", "50", "--seed", "4"]
+    code, serial = run_cli(capsys, *argv, "--jobs", "1")
+    assert code == 0
+    for jobs in ([], ["--jobs", "2"], ["--jobs", "3"], ["--jobs", "7"]):
+        assert run_cli(capsys, *argv, *jobs) == (0, serial), jobs
+
+
+def test_importing_the_package_loads_no_process_pools():
+    # the sampler imports multiprocessing only when it forks workers
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, dispersion, dispersion.cli\n"
+        "pools = ('multiprocessing', 'concurrent')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in pools))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
+
+
 def test_rtable_bruteforce_and_recursion_agree(capsys):
     _, brute = run_cli(capsys, "rtable", "--n", "6", "--method", "brute")
     _, rec = run_cli(capsys, "rtable", "--n", "6", "--method", "recursion")
@@ -258,6 +291,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["mc", "--n", "-3"],
         ["mc", "--n", "2", "--samples", "-5"],
         ["mc", "--n", "4", "--seed", "-1"],
+        ["mc", "--n", "4", "--jobs", "0"],
+        ["mc", "--n", "4", "--jobs", "-1"],
         ["perms", "--n", "0"],
         ["perms", "--n", "-1"],
         ["mc", "--n", "1"],

@@ -2,7 +2,10 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -247,6 +250,22 @@ def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
         with pytest.raises(InvariantViolationError, match="end of the 12-room window"):
             monte_carlo_counts(6, 1, seed)
 
+    # forked workers inherit the narrow window; the caller checks every range's
+    # finals in first-arrival order, so each split raises the serial message
+    monkeypatch.setattr(reachability, "_spare_rooms", lambda s: 0)
+    monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
+    for jobs in (1, 2, 3, 5):
+        with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room"):
+            monte_carlo_counts(3, 10, seed=0, jobs=jobs)
+    monkeypatch.setattr(reachability, "_spare_rooms", lambda s: s.total // 2)
+    messages = set()
+    for jobs in (1, 2, 3, 5):
+        with pytest.raises(InvariantViolationError, match="end of the 12-room window") as e:
+            monte_carlo_counts(6, 40, seed=0, jobs=jobs)
+        messages.add(str(e.value))
+    assert len(messages) == 1
+    assert multiprocessing.active_children() == []
+
 
 def test_rows_match_the_frozen_goldens(rows):
     golden = golden_scaled_rows()
@@ -354,6 +373,127 @@ def test_monte_carlo_is_seed_and_shard_deterministic():
         assert v <= a.get(k, 0)
     probs = monte_carlo(5, 400, seed=7)
     assert sum(probs.values()) == 1
+
+
+def _record_ranges(monkeypatch):
+    """Make ``_mc_sharded`` record the range bounds of each sharded call."""
+    calls = []
+    sharded = probability._mc_sharded
+
+    def recording(start, digits, seed, bounds):
+        calls.append(list(bounds))
+        return sharded(start, digits, seed, bounds)
+
+    monkeypatch.setattr(probability, "_mc_sharded", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n, samples", [(6, 20_000), (10, 5_000)])
+def test_monte_carlo_counts_do_not_depend_on_jobs(monkeypatch, n, samples):
+    serial = monte_carlo_counts(n, samples, seed=1, jobs=1)
+    assert sum(serial.values()) == samples
+    calls = _record_ranges(monkeypatch)
+    for jobs in (2, 3, 5):
+        assert monte_carlo_counts(n, samples, seed=1, jobs=jobs) == serial, jobs
+    # no range holds fewer than _MC_MIN_RANGE samples
+    ranges = min(5, samples // probability._MC_MIN_RANGE)
+    assert [len(b) - 1 for b in calls] == [min(2, ranges), min(3, ranges), ranges]
+    assert all(hi - lo >= probability._MC_MIN_RANGE for b in calls for lo, hi in zip(b, b[1:]))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("samples, jobs", [(7, 2), (10, 3), (11, 5), (3, 5), (1, 5), (0, 5)])
+def test_uneven_and_tiny_splits_give_the_serial_counts(monkeypatch, samples, jobs):
+    monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
+    serial = monte_carlo_counts(7, samples, seed=11, jobs=1)
+    calls = _record_ranges(monkeypatch)
+    assert monte_carlo_counts(7, samples, seed=11, jobs=jobs) == serial
+    ranges = min(samples, jobs)
+    if ranges > 1:  # contiguous ranges whose sizes differ by at most one
+        (bounds,) = calls
+        assert bounds[0] == 0 and bounds[-1] == samples and len(bounds) == ranges + 1
+        sizes = {hi - lo for lo, hi in zip(bounds, bounds[1:])}
+        assert sizes <= {samples // ranges, -(-samples // ranges)}
+    else:
+        assert calls == []
+    assert multiprocessing.active_children() == []
+
+
+def test_small_calls_stay_in_the_caller(monkeypatch):
+    calls = _record_ranges(monkeypatch)
+    monte_carlo_counts(20, 20, seed=1, jobs=5)  # the CLI golden's call
+    monte_carlo_counts(6, 2 * probability._MC_MIN_RANGE - 1, seed=1, jobs=5)
+    assert calls == []
+
+
+def test_jobs_default_to_the_usable_cpus(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert probability._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
+    monkeypatch.setattr(probability, "_usable_cpus", lambda: 3)
+    calls = _record_ranges(monkeypatch)
+    assert monte_carlo_counts(5, 12, seed=2) == monte_carlo_counts(5, 12, seed=2, jobs=1)
+    assert calls == [[0, 4, 8, 12]]
+    with pytest.raises(DomainError, match="jobs must be >= 1, got 0"):
+        monte_carlo_counts(5, 12, seed=2, jobs=0)
+
+
+def test_without_fork_every_range_runs_in_the_caller(monkeypatch):
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert monte_carlo_counts(7, 50, seed=3, jobs=3) == monte_carlo_counts(7, 50, seed=3, jobs=1)
+
+
+def _failing_workers(monkeypatch, fail):
+    """Run ``fail(lo)`` in place of every range's playout but the caller's first."""
+    finals = probability._mc_finals
+
+    def patched(start, digits, seed, lo, hi):
+        if lo:
+            fail(lo)
+        return finals(start, digits, seed, lo, hi)
+
+    monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
+    monkeypatch.setattr(probability, "_mc_finals", patched)
+
+
+def test_a_worker_error_reaches_the_caller_whole(monkeypatch):
+    def fail(lo):
+        raise BudgetExceededError(lo)
+
+    _failing_workers(monkeypatch, fail)
+    with pytest.raises(BudgetExceededError, match=r"^node budget of 4 exceeded$") as e:
+        monte_carlo_counts(5, 12, seed=2, jobs=3)
+    assert e.value.budget == 4
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_is_reported_and_joined(monkeypatch):
+    _failing_workers(monkeypatch, lambda lo: os._exit(3))
+    with pytest.raises(RuntimeError, match="a sampler worker exited with code 3"):
+        monte_carlo_counts(5, 12, seed=2, jobs=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_are_stopped_when_the_caller_fails(monkeypatch):
+    finals = probability._mc_finals
+
+    def patched(start, digits, seed, lo, hi):
+        if not lo:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return finals(start, digits, seed, lo, hi)
+
+    monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
+    monkeypatch.setattr(probability, "_mc_finals", patched)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        monte_carlo_counts(5, 12, seed=2, jobs=3)
+    assert time.perf_counter() - t0 < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_monte_carlo_sample_stream_is_pinned():
