@@ -547,9 +547,7 @@ def row_to_json(row: ScaledRow | SumtroidDistribution) -> str:
     payload = (
         _row_payload(row) if isinstance(row, ScaledRow) else _dist_payload(row)
     )
-    payload["sha256"] = _payload_hash(
-        {k: v for k, v in payload.items() if k != "sha256"}
-    )
+    payload["sha256"] = _payload_hash(payload)
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 import re
-from collections import deque
-from collections.abc import Callable, Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,9 +38,9 @@ class ReachGraph:
     """All states reachable from ``initial``; a state is any hashable value.
 
     ``nodes`` starts with ``initial``: :func:`explore` lists them as its walk
-    pops their keys, in increasing key order, which is topological, and
-    ``_bfs`` in discovery order.  ``edges`` maps each state to its successors in order,
-    so that in :func:`explore` ``edges[s][i] == apply_move(s, available_moves(s)[i])``.
+    pops their keys, in increasing key order, which is topological.  ``edges``
+    maps each state to its successors in order, so that in :func:`explore`
+    ``edges[s][i] == apply_move(s, available_moves(s)[i])``.
     """
 
     initial: Hashable
@@ -52,35 +51,6 @@ class ReachGraph:
     def finals(self) -> tuple[Hashable, ...]:
         """The nodes without successors, in node order."""
         return tuple(s for s in self.nodes if not self.edges[s])
-
-    def depths(self) -> dict[Hashable, int]:
-        """Minimum number of moves from the initial state to each node."""
-        depth = {self.initial: 0}
-        for s in self.nodes:  # topological or breadth-first: depth[s] is final here
-            for t in self.edges[s]:
-                depth[t] = min(depth.get(t, depth[s] + 1), depth[s] + 1)
-        return depth
-
-
-def _bfs(start: Hashable, step: Callable[[Hashable], Sequence], node_budget: int) -> ReachGraph:
-    """Breadth-first closure of ``start`` under ``step``, deduplicated.
-
-    Raises :class:`BudgetExceededError` when more than ``node_budget``
-    states are reachable.
-    """
-    edges: dict = {}  # in discovery order
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        if len(edges) >= node_budget:
-            raise BudgetExceededError(node_budget)
-        edges[s] = successors = step(s)
-        for t in successors:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return ReachGraph(start, tuple(edges), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +296,8 @@ def is_spacious(s: RoomState) -> bool:
 def locked_in_map(g: ReachGraph) -> dict[RoomState, bool]:
     """For each node: do all continuations keep the sumtroid fixed?
 
-    Processed in reverse node order, a reverse topological order for
-    :func:`explore` graphs but not for breadth-first ones.
+    Processed in reverse node order, so the nodes must come in a
+    topological order, as :func:`explore`'s increasing keys do.
     """
     locked: dict[RoomState, bool] = {}
     for s in reversed(g.nodes):
@@ -372,23 +342,31 @@ def gap_delta_class(s: RoomState, m: Move) -> int:
 def earliest_gap_decrease(initial: RoomState) -> int | None:
     """Smallest move number (1-based) at which a -1 gap event can occur.
 
-    Its breadth-first search, with the errors of :func:`explore`, expands nothing
-    past the first state with a -1 move: depths never decrease in discovery order.
+    Its search goes one move layer at a time on :func:`explore`'s packed
+    keys and stops at the first state with a -1 move.  Every key reached
+    is checked against the window's ends, and more than ``DEFAULT_NODE_BUDGET``
+    keys reached raise :class:`BudgetExceededError`.
     """
     b, floor, width, start, digits, ends = _window(initial)
-    found = []
-
-    def step(key: int) -> list[int]:
-        if key & ends:
-            raise _window_error(key, b, floor, width)
-        if not found:
+    if start & ends:
+        raise _window_error(start, b, floor, width)
+    seen, layer, move = {start}, [start], 1
+    while layer:
+        reached = []
+        for key in layer:
             s = _unpack(key, b, floor)
             if s.single_occupancy and -1 in (gap_delta_class(s, m) for m in available_moves(s)):
-                found.append(key)
-        return [] if found else _packed_successors(key, b, digits)
-
-    g = _bfs(start, step, DEFAULT_NODE_BUDGET)
-    return g.depths()[found[0]] + 1 if found else None
+                return move
+            for t in _packed_successors(key, b, digits):
+                if t not in seen:
+                    if len(seen) >= DEFAULT_NODE_BUDGET:
+                        raise BudgetExceededError(DEFAULT_NODE_BUDGET)
+                    if t & ends:
+                        raise _window_error(t, b, floor, width)
+                    seen.add(t)
+                    reached.append(t)
+        layer, move = reached, move + 1
+    return None
 
 
 def crowded_states(initial: RoomState) -> tuple[RoomState, ...]:

@@ -337,8 +337,6 @@ def move_correspondence(ctx: RunContext, top: int) -> str:
     for n in range(2, top + 1):
         rep = verify_move_correspondence(explore(flat_clusteron(n)))
         assert rep.ok, (n, rep.mismatches[:3])
-        assert rep.room_nodes == rep.suite_nodes
-        assert rep.room_edges == rep.suite_edges
         nodes += rep.room_nodes
     # the size-4 trees node for node: one play of 1111, and its first moves
     chain = [

@@ -52,6 +52,8 @@ from dispersion import (
 from dispersion import probability, reachability
 from dispersion.verify import compositions
 
+from conftest import bfs
+
 
 def _graph_distribution(g):
     """Reference for :func:`final_distribution`: the same push over a graph.
@@ -165,7 +167,7 @@ def test_packed_successors_commute_with_the_mirror(text):
     b, _, width, start, digits, _ = reachability._window(parse_state(text))
     assert b == 1
     mirror, succ = probability._mirror, reachability._packed_successors
-    for key in reachability._bfs(start, lambda k: succ(k, b, digits), 10**6).nodes:
+    for key in bfs(start, lambda k: succ(k, b, digits), 10**6).nodes:
         mirrored = sorted(mirror(t, width) for t in succ(key, b, digits))
         assert mirrored == sorted(succ(mirror(key, width), b, digits)), bin(key)
 

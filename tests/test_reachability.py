@@ -41,12 +41,14 @@ from dispersion import (
 from dispersion import reachability
 from dispersion.verify import compositions
 
+from conftest import bfs, depths
+
 
 def test_flat_four_graph_has_known_shape(flat_graphs):
     g = flat_graphs[4]
     assert len(g.nodes) == 18
     assert len(g.finals) == 5
-    assert g.depths()[g.initial] == 0
+    assert depths(g)[g.initial] == 0
     assert all(is_final(f) for f in g.finals)
     assert sum(len(e) for e in g.edges.values()) == sum(
         len(available_moves(s)) for s in g.nodes
@@ -55,13 +57,13 @@ def test_flat_four_graph_has_known_shape(flat_graphs):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_depths_are_the_fewest_moves_to_each_state(n, flat_graphs, reference_explore):
-    # key order (explore) and breadth-first discovery order (_bfs) both give the fewest moves
+    # key order (explore) and breadth-first discovery order (bfs) both give the fewest moves
     for g in (flat_graphs[n], reference_explore(flat_clusteron(n))):
         parents: dict = {}
         for s in g.nodes:
             for t in g.edges[s]:
                 parents.setdefault(t, []).append(s)
-        depth = g.depths()
+        depth = depths(g)
         assert depth[g.initial] == 0 and len(depth) == len(g.nodes)
         assert all(depth[t] == 1 + min(depth[s] for s in ps) for t, ps in parents.items())
 
@@ -311,7 +313,7 @@ def test_gap_decreases_start_at_move_three():
 
 def _full_graph_earliest_gap_decrease(g):
     """Reference: every move of every single-occupancy node, read off the graph's edges."""
-    depth = g.depths()
+    depth = depths(g)
     best = None
     for s in g.nodes:
         if not s.single_occupancy:
@@ -356,8 +358,8 @@ def test_crowded_states_are_the_crowded_nodes_of_the_graph(starts, reference_exp
 
 def test_locked_in_searches_respect_the_node_budget(monkeypatch):
     # crowded_states counts the crowded states it returns (its walk never holds
-    # more than 10 keys here); earliest_gap_decrease counts the states its
-    # breadth-first search expands or stops at
+    # more than 10 keys here); earliest_gap_decrease counts the keys its layer
+    # search reaches, the start included
     s141, s1311 = parse_state("141"), parse_state("1311")
     monkeypatch.setattr(reachability, "DEFAULT_NODE_BUDGET", 23)
     assert len(crowded_states(s141)) == 23
@@ -447,14 +449,14 @@ def test_dot_tree_budget_counts_the_emitted_tree(monkeypatch, n, options, nodes)
 
 
 def _reference_dag(g, locked, half="full", prune_locked_in=False):
-    """Reference dag, a ``_bfs`` through the kept edges: its node lines and edge-line multiset."""
+    """Reference dag, a ``bfs`` through the kept edges: its node lines and edge-line multiset."""
 
     def children(s):
         if prune_locked_in and locked[s]:
             return ()
         return reachability._half_slice(g.edges[s], half) if s == g.initial else g.edges[s]
 
-    kept = reachability._bfs(g.initial, children, len(g.nodes))
+    kept = bfs(g.initial, children, len(g.nodes))
     dot_id = reachability._dot_id
     # listed in key order, as export_dot lists them; the edges in any order
     nodes = [f'  {dot_id(s.text())} [label="{s.text()}"];' for s in g.nodes if s in kept.edges]

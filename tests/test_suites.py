@@ -25,6 +25,8 @@ from dispersion import (
 )
 from dispersion.suites import suite_centroid
 
+from conftest import bfs
+
 single_states = st.builds(
     state_from_positions, st.sets(st.integers(-9, 9), min_size=1, max_size=9)
 )
@@ -88,10 +90,18 @@ def test_suite_moves_mirror_room_moves(s):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_move_graphs_are_isomorphic(n):
-    rep = verify_move_correspondence(explore(flat_clusteron(n)))
+    g = explore(flat_clusteron(n))
+    rep = verify_move_correspondence(g)
     assert rep.ok, rep.mismatches
-    assert rep.room_nodes == rep.suite_nodes
-    assert rep.room_edges == rep.suite_edges
+    assert rep.room_nodes == len(g.nodes)
+    # the local check's induction, held against a search of the suite view
+    view = bfs(
+        to_suites(g.initial),
+        lambda ss: tuple(apply_suite_move(ss, m) for m in suite_moves(ss)),
+        len(g.nodes),
+    )
+    assert set(view.nodes) == {to_suites(s) for s in g.nodes}
+    assert sum(map(len, view.edges.values())) == sum(map(len, g.edges.values()))
 
 
 def test_truncated_room_graph_stops_the_suite_search():
@@ -99,5 +109,15 @@ def test_truncated_room_graph_stops_the_suite_search():
     rep = verify_move_correspondence(ReachGraph(start, (start,), {start: ()}))
     assert not rep.ok
     assert rep.room_nodes == 1
-    assert rep.suite_nodes <= 2
-    assert rep.mismatches == ("the suite view reaches more than 1 states",)
+    assert rep.mismatches == ("111111: 5 suite splits but 0 edges",)
+
+
+def test_a_wrong_successor_is_reported():
+    g = explore(flat_clusteron(4))
+    edges = {**g.edges, g.initial: g.edges[g.initial][::-1]}
+    rep = verify_move_correspondence(ReachGraph(g.initial, g.nodes, edges))
+    assert not rep.ok
+    assert rep.mismatches == (
+        "1111: move (0, 1) maps to 301@-1 but suite move gives 103@-1",
+        "1111: move (2, 3) maps to 103@-1 but suite move gives 301@-1",
+    )
