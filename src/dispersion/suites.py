@@ -12,11 +12,10 @@ of the block, and both change the centroid by the same amount.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DomainError, InvalidMoveError
 from .reachability import ReachGraph
-from .states import Move, RoomState, available_moves, sumtroid
+from .states import Move, RoomState, available_moves, sumtroid, validate_move
 
 
 def to_suites(s: RoomState) -> RoomState:
@@ -100,26 +99,19 @@ def apply_suite_move(ss: RoomState, m: SuiteMove) -> RoomState:
     return RoomState(offset, tuple(cells))
 
 
-def suite_centroid(ss: RoomState) -> Fraction:
-    return Fraction(sumtroid(ss), ss.total)
-
-
 def suite_move_for(s: RoomState, m: Move) -> SuiteMove:
-    """The suite move mirroring a room move of a single-occupancy state."""
-    ss = to_suites(s)
-    # locate the run containing the fired pair and the pair's index in it
-    run_index = -1
-    run_start = None
-    prev = 0
-    for room, c in zip(s.rooms(), s.occupancy):
-        if c and not prev:
-            run_index += 1
-            run_start = room
-        prev = c
-        if room == m.left_room:
-            break
-    positive = [j for j, v in enumerate(ss.occupancy) if v > 0]
-    return SuiteMove(ss.offset + positive[run_index], m.left_room - run_start + 1)
+    """The suite move mirroring a room move of a single-occupancy state.
+
+    The fired pair's run starts at the left target's right neighbour and
+    splits after its first ``left_nbhd`` rooms.  Before the run each run
+    takes one cell and each gap of g rooms g-1 cells, so the run's cell
+    index is the number of empty rooms before it.
+    """
+    validate_move(s, m)
+    if not s.single_occupancy:
+        raise DomainError(f"suite view needs single occupancy: {s.text()}")
+    run_start = m.left_target + 1
+    return SuiteMove(run_start - sum(s.occupancy[: run_start - s.offset]), m.left_nbhd)
 
 
 @dataclass(frozen=True)
@@ -139,18 +131,18 @@ def verify_move_correspondence(g: ReachGraph) -> CorrespondenceReport:
 
     At each room node the suite splits are the images of its moves, one
     split per move and no other, each reaching the encoded successor and
-    shifting the centroid as the room move does; and no two nodes share
-    an encoding.  By induction from the start, every split of the suite
+    shifting the sumtroid as the room move does (both views hold the
+    same total, so the centroids shift alike); and no two nodes share an
+    encoding.  By induction from the start, every split of the suite
     view is then the image of exactly one room edge, so no suite search
     is needed.
     """
     mismatches: list[str] = []
-    n = g.initial.total
     encoded = {s: to_suites(s) for s in g.nodes}
     if len(set(encoded.values())) != len(encoded):
         mismatches.append("suite encoding is not injective on reachable states")
     for s, ss in encoded.items():
-        moves, splits = available_moves(s), suite_moves(ss)
+        moves, splits, k = available_moves(s), suite_moves(ss), sumtroid(ss)
         if len(splits) != len(g.edges[s]):
             mismatches.append(f"{s.text()}: {len(splits)} suite splits but {len(g.edges[s])} edges")
         images = [suite_move_for(s, m) for m in moves]
@@ -168,10 +160,9 @@ def verify_move_correspondence(g: ReachGraph) -> CorrespondenceReport:
                     f"{s.text()}: move {m.pair} maps to {tt_room.text()} "
                     f"but suite move gives {tt.text()}"
                 )
-            room_delta = Fraction(m.sumtroid_delta, n)
-            suite_delta = suite_centroid(tt) - suite_centroid(ss)
-            if room_delta != suite_delta:
+            suite_delta = sumtroid(tt) - k
+            if suite_delta != m.sumtroid_delta:
                 mismatches.append(
-                    f"{s.text()}: centroid delta {room_delta} vs suite {suite_delta}"
+                    f"{s.text()}: sumtroid delta {m.sumtroid_delta} vs suite {suite_delta}"
                 )
     return CorrespondenceReport(room_nodes=len(g.nodes), mismatches=tuple(mismatches))

@@ -3,7 +3,16 @@ from collections import deque
 
 import pytest
 
-from dispersion import BudgetExceededError, ReachGraph, apply_move, available_moves, explore, flat_clusteron
+from dispersion import (
+    BudgetExceededError,
+    ReachGraph,
+    SuiteMove,
+    apply_move,
+    available_moves,
+    explore,
+    flat_clusteron,
+    to_suites,
+)
 from dispersion.reachability import DEFAULT_NODE_BUDGET
 from dispersion.verify import RunContext
 
@@ -36,6 +45,29 @@ def depths(g):
         for t in g.edges[s]:
             depth[t] = min(depth.get(t, depth[s] + 1), depth[s] + 1)
     return depth
+
+
+def run_scan_suite_move_for(s, m):
+    """The suite move mirroring a room move, found by scanning runs.
+
+    The tests' reference for :func:`dispersion.suite_move_for`: it
+    encodes ``s``, counts runs up to the fired pair and reads the run's
+    cell off the encoding.  It does not check that ``s`` has the move.
+    """
+    ss = to_suites(s)
+    # locate the run containing the fired pair and the pair's index in it
+    run_index = -1
+    run_start = None
+    prev = 0
+    for room, c in zip(s.rooms(), s.occupancy):
+        if c and not prev:
+            run_index += 1
+            run_start = room
+        prev = c
+        if room == m.left_room:
+            break
+    positive = [j for j, v in enumerate(ss.occupancy) if v > 0]
+    return SuiteMove(ss.offset + positive[run_index], m.left_room - run_start + 1)
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,12 @@
 """Run-length suite codec and the move correspondence."""
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
 from dispersion import (
     DomainError,
+    InvalidMoveError,
     MalformedStateError,
+    Move,
     ReachGraph,
     RoomState,
     apply_move,
@@ -23,9 +23,7 @@ from dispersion import (
     to_suites,
     verify_move_correspondence,
 )
-from dispersion.suites import suite_centroid
-
-from conftest import bfs
+from conftest import bfs, run_scan_suite_move_for
 
 single_states = st.builds(
     state_from_positions, st.sets(st.integers(-9, 9), min_size=1, max_size=9)
@@ -80,12 +78,36 @@ def test_suite_moves_mirror_room_moves(s):
     assert len(suite_moves(ss)) == len(room_moves)
     for m in room_moves:
         t = apply_move(s, m)
-        tt = apply_suite_move(ss, suite_move_for(s, m))
+        sm = suite_move_for(s, m)
+        assert sm == run_scan_suite_move_for(s, m)
+        tt = apply_suite_move(ss, sm)
         assert tt == to_suites(t)
         assert sumtroid(tt) - sumtroid(ss) == m.sumtroid_delta
-        assert suite_centroid(tt) - suite_centroid(ss) == Fraction(
-            m.sumtroid_delta, s.total
-        )
+
+
+@pytest.mark.parametrize(
+    "start",
+    [flat_clusteron(n) for n in range(2, 9)] + [parse_state("1011001"), parse_state("110011@-2")],
+    ids=lambda s: s.text(),
+)
+def test_split_read_off_the_run_equals_the_run_scan(start):
+    for s in explore(start).nodes:
+        for m in available_moves(s):
+            assert suite_move_for(s, m) == run_scan_suite_move_for(s, m), (s.text(), m)
+
+
+@pytest.mark.parametrize(
+    "m", [Move(10, 1, 1), Move(0, 3, 2), Move(2, 2, 1)], ids=lambda m: f"{m.pair}:{m.left_nbhd},{m.right_nbhd}"
+)
+def test_a_move_the_state_lacks_has_no_suite_mirror(m):
+    with pytest.raises(InvalidMoveError):
+        suite_move_for(parse_state("1011001"), m)
+
+
+def test_crowded_states_have_no_suite_mirror():
+    s = parse_state("121")
+    with pytest.raises(DomainError):
+        suite_move_for(s, available_moves(s)[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
