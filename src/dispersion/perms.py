@@ -14,6 +14,7 @@ call it; the sweeps call the cores directly on tuples from
 from __future__ import annotations
 
 from itertools import permutations
+from operator import gt
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
@@ -150,21 +151,23 @@ def perm_count_checks(
         raise DomainError("the tally checks need n >= 3")
     tree_table = (table or r_table_bruteforce)(n)
     bad = []
+    # _relabel of every value of 1..n-1 at once; index 0 is unused
+    relabeled = (0, *_relabel(tuple(range(1, n)))).__getitem__
 
     special: dict[Cell, int] = {}
     descent: dict[Cell, int] = {}
     for word in permutations(range(1, n)):
-        st = _perm_stats(word)
-        cell = (st.special_descents + 1, st.last)
+        descents = sum(map(gt, word, word[1:]))
+        last = word[-1]
+        cell = (descents + (word[0] == 1) + 1, last)
         special[cell] = special.get(cell, 0) + 1
-        dcell = (st.descents + 1, st.last)
+        dcell = (descents + 1, last)
         descent[dcell] = descent.get(dcell, 0) + 1
 
-        image = _relabel(word)
-        if _relabel(image) != word:
+        image = tuple(map(relabeled, word))
+        if tuple(map(relabeled, image)) != word:
             bad.append(f"relabeling is not an involution at {word}")
-        ist = _perm_stats(image)
-        got = (ist.special_descents + 1, ist.last)
+        got = (sum(map(gt, image, image[1:])) + (image[0] == 1) + 1, image[-1])
         if got != _involution_image(n, cell):
             bad.append(
                 f"relabeling sends {cell} to {got}, "
@@ -173,8 +176,8 @@ def perm_count_checks(
 
     start_two: dict[Cell, int] = {}
     for rest in permutations((1, *range(3, n + 1))):
-        st = _perm_stats((2, *rest))
-        cell = (st.descents + 1, st.last)
+        # (2, *rest) descends after its 2 exactly when rest starts with 1
+        cell = (sum(map(gt, rest, rest[1:])) + (rest[0] == 1) + 1, rest[-1])
         start_two[cell] = start_two.get(cell, 0) + 1
 
     for leaves in range(1, n + 1):

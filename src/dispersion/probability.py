@@ -18,8 +18,10 @@ import heapq
 import io
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial, gcd
 from pathlib import Path
 
@@ -377,13 +379,12 @@ def monte_carlo_counts(n: int, samples: int, seed: int, jobs: int | None = None)
         raise DomainError(f"sample count must be >= 0, got {samples}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    if jobs is not None and jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    jobs = _jobs(jobs)
     initial = flat_clusteron(n)
     _, floor, width, start, digits, ends = _window(initial)
     if start & ends:
         raise _window_error(start, 1, floor, width)
-    ranges = min(_usable_cpus() if jobs is None else jobs, samples // _MC_MIN_RANGE)
+    ranges = min(jobs, samples // _MC_MIN_RANGE)
     if ranges > 1:
         bounds = [samples * j // ranges for j in range(ranges + 1)]
         finals = _mc_sharded(start, digits, seed, bounds)
@@ -397,14 +398,6 @@ def monte_carlo_counts(n: int, samples: int, seed: int, jobs: int | None = None)
         k = sumtroid(_unpack(key, 1, floor)) - sumtroid(initial)
         counts[k] = counts.get(k, 0) + c
     return dict(sorted(counts.items()))
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _mc_finals(start: int, digits: int, seed: int, lo: int, hi: int) -> dict[int, int]:
@@ -454,40 +447,84 @@ def _mc_finals(start: int, digits: int, seed: int, lo: int, hi: int) -> dict[int
 def _mc_sharded(start: int, digits: int, seed: int, bounds: list[int]) -> dict[int, int]:
     """:func:`_mc_finals` of bounds[0]..bounds[-1], one range per process.
 
-    The caller plays the first range; each other range runs in a forked
-    worker that sends its final-key counts back through a pipe.  They merge
-    in range order, so first arrivals keep the order of one serial run.
-    Every worker is joined before this returns, on error too.  Fork, not
-    spawn: a worker starts at once with the caller's module state and
-    imports nothing; the package starts no threads that a fork could
-    cut off.  Without fork, the caller plays every range.
+    The ranges run under :func:`_forked` and merge in range order, so
+    first arrivals keep the order of one serial run.
     """
+    calls = [partial(_mc_finals, start, digits, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    finals: dict[int, int] = {}
+    for got in _forked(calls, "sampler"):
+        for key, c in got.items():
+            finals[key] = finals.get(key, 0) + c
+    return finals
+
+
+def monte_carlo(n: int, samples: int, seed: int) -> dict[int, Fraction]:
+    """Empirical distribution of final sumtroids, exact fractions."""
+    return {
+        k: Fraction(c, samples) for k, c in monte_carlo_counts(n, samples, seed).items()
+    }
+
+
+# ---------------------------------------------------------------------------
+# forked workers, shared with verify
+
+
+def _jobs(jobs: int | None) -> int:
+    """The process count ``jobs`` asks for: the usable CPUs when None, else at least 1."""
+    if jobs is None:
+        return _usable_cpus()
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _forked(calls: list[Callable[[], object]], what: str) -> list:
+    """Each call's result, in order: the caller runs the first, a forked worker each other one.
+
+    A worker pipes back its result, or the exception that stopped it,
+    which the caller raises when it reaches that worker.  Every worker is
+    joined before this returns, on error too, and stopped first if the
+    caller fails.  Fork, not spawn: a worker starts at once with the
+    caller's module state and imports nothing; the package starts no
+    threads that a fork could cut off.  A single call, and every call
+    where fork is missing, runs in the caller; ``multiprocessing`` is
+    imported only when there is a worker to start.
+    """
+    if len(calls) < 2:
+        return [call() for call in calls]
     import multiprocessing
 
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
-        return _mc_finals(start, digits, seed, bounds[0], bounds[-1])
+        return [call() for call in calls]
     workers = []
     try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
+        for call in calls[1:]:
             recv, send = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_mc_worker, args=(send, start, digits, seed, lo, hi))
+            worker = ctx.Process(target=_worker, args=(send, call))
             worker.start()
             send.close()
             workers.append((worker, recv))
-        finals = _mc_finals(start, digits, seed, bounds[0], bounds[1])
+        out = [calls[0]()]
         for worker, recv in workers:
             try:
                 got = recv.recv()
             except EOFError:  # it died before sending, e.g. killed
                 worker.join()
-                raise RuntimeError(f"a sampler worker exited with code {worker.exitcode}") from None
+                raise RuntimeError(f"a {what} worker exited with code {worker.exitcode}") from None
             if isinstance(got, BaseException):
                 raise got
-            for key, c in got.items():
-                finals[key] = finals.get(key, 0) + c
-        return finals
+            out.append(got)
+        return out
     except BaseException:
         for worker, _ in workers:
             worker.terminate()
@@ -498,21 +535,14 @@ def _mc_sharded(start: int, digits: int, seed: int, bounds: list[int]) -> dict[i
             recv.close()
 
 
-def _mc_worker(send, start: int, digits: int, seed: int, lo: int, hi: int) -> None:
-    """Body of a forked worker: send the counts of lo..hi-1, or the error that stopped them."""
+def _worker(send, call: Callable[[], object]) -> None:
+    """Body of a forked worker: send the call's result, or the error that stopped it."""
     try:
-        got: dict[int, int] | Exception = _mc_finals(start, digits, seed, lo, hi)
+        got = call()
     except Exception as e:
         got = e
     send.send(got)
     send.close()
-
-
-def monte_carlo(n: int, samples: int, seed: int) -> dict[int, Fraction]:
-    """Empirical distribution of final sumtroids, exact fractions."""
-    return {
-        k: Fraction(c, samples) for k, c in monte_carlo_counts(n, samples, seed).items()
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Verification suites: every structural claim of the package, checked.
 
 Each claim is one check function, registered once with its suite, its
-check id and a plain-language statement of the claim.  A run shares one
-:class:`RunContext`, whose memo builds each exact row and tree table once.
+check id and a plain-language statement of the claim.  Suites that read
+the same memo objects run in one process on one :class:`RunContext`,
+whose memo builds each exact row and tree table once.
 Each suite sweeps sizes up to its limit in ``DEFAULT_MAX_N``, set so that
 a full run takes seconds; ``max_n`` replaces every suite's limit.
 """
@@ -16,12 +17,15 @@ from functools import partial
 from importlib import resources
 from itertools import product
 from math import factorial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceededError, DispersionError
 from .perms import perm_count_checks, perm_stats, roundtrip_check
 from .probability import (
     ScaledRow,
+    _forked,
+    _jobs,
     final_distribution,
     lx_to_sumtroid,
     row_from_json,
@@ -825,17 +829,62 @@ SUITES: dict[str, Callable[[RunContext], VerifyReport]] = {
     name: partial(run_suite, name) for name in DEFAULT_MAX_N
 }
 
+# Suites that read the same RunContext memo run in one process: perms and
+# trees share the brute-force tables; bridge, probability and window share
+# the rows.  Heaviest first; default-run seconds in one process on a 2-CPU
+# box: 0.53, 0.19, 0.15 (locked-in), 0.09 (states), 0.03 (finals) and
+# 0.01 (suites-bijection).
+UNITS = (
+    ("perms", "trees"),
+    ("bridge", "probability", "window"),
+    ("locked-in",),
+    ("states",),
+    ("finals",),
+    ("suites-bijection",),
+)
+
 
 def run_suites(
-    max_n: int | None = None, names: list[str] | None = None
+    max_n: int | None = None, names: list[str] | None = None, jobs: int | None = None
 ) -> tuple[VerifyReport, ...]:
-    """Run the named suites (default: all) once each, in canonical name order."""
+    """Run the named suites (default: all) once each; reports come in name order.
+
+    With p the smaller of ``jobs`` (default: the CPUs this process may
+    use) and the number of units of ``UNITS`` holding a selected suite,
+    the first p-1 of those units run in a forked worker each and the
+    caller runs every other selected suite.  Each process runs its suites
+    in name order on a fresh ``RunContext(max_n)``, so the reports do not
+    depend on ``jobs``.  When suites raise, every worker is joined and the
+    error of the first in name order is raised, as one serial run would.
+    """
     selected = set(SUITES if names is None else names)
     unknown = sorted(selected - SUITES.keys())
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    ctx = RunContext(max_n)
-    return tuple(SUITES[name](ctx) for name in sorted(selected))
+    units = [[name for name in unit if name in selected] for unit in UNITS]
+    units = [unit for unit in units if unit]
+    forked = units[: min(_jobs(jobs), len(units)) - 1]
+    groups = [[name for unit in units[len(forked):] for name in unit], *forked]
+    calls = [partial(_run_in_order, RunContext(max_n), group) for group in groups]
+    outcomes = sorted((o for part in _forked(calls, "verify") for o in part), key=itemgetter(0))
+    for _, got in outcomes:
+        if isinstance(got, Exception):
+            raise got
+    return tuple(got for _, got in outcomes)
+
+
+def _run_in_order(
+    ctx: RunContext, names: list[str]
+) -> list[tuple[str, VerifyReport | Exception]]:
+    """Each suite's report in name order, up to the first suite that raises, then its error."""
+    out: list[tuple[str, VerifyReport | Exception]] = []
+    for name in sorted(names):
+        try:
+            out.append((name, SUITES[name](ctx)))
+        except Exception as e:
+            out.append((name, e))
+            break
+    return out
 
 
 def reports_to_json(reports: tuple[VerifyReport, ...]) -> str:
