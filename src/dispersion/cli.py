@@ -191,7 +191,7 @@ def cmd_perms(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_suites(args.max_n, args.suite or None, args.jobs)
+    reports = run_suites(args.max_n, args.suite or None)
     text = reports_to_json(reports) if args.format == "json" else reports_to_text(reports)
     _write(args, [text])
     return 0 if all(r.ok for r in reports) else 1
@@ -282,12 +282,6 @@ def _parser() -> argparse.ArgumentParser:
         help="run only this suite (repeatable); default is all",
     )
     p.add_argument("--max-n", type=int, default=None, help="override every suite's size limit")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="processes that share the suites (default: the CPUs this process may use)",
-    )
     add_format(p, ("text", "json"))
     p.set_defaults(func=cmd_verify)
 

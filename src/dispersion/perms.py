@@ -48,14 +48,19 @@ def perm_stats(word: tuple[int, ...]) -> PermStats:
 
 
 def _perm_stats(word: tuple[int, ...]) -> PermStats:
-    descents = big = 0
-    prev = word[0]
-    for v in word:
-        if v < prev:
-            descents += 1
-            big += prev - v >= 2
-        prev = v
-    return PermStats(descents, descents + (word[0] == 1), big, word[-1], word[0])
+    descents = _descents(word)
+    big = sum(a - b >= 2 for a, b in zip(word, word[1:]))
+    return PermStats(descents, _special_descents(word, descents), big, word[-1], word[0])
+
+
+def _descents(word: tuple[int, ...]) -> int:
+    """The positions i with word[i] > word[i+1]."""
+    return sum(map(gt, word, word[1:]))
+
+
+def _special_descents(word: tuple[int, ...], descents: int) -> int:
+    """Special descents from the descent count: a leading 1 counts too."""
+    return descents + (word[0] == 1)
 
 
 def tree_to_perm(t: RecursiveTree) -> tuple[int, ...]:
@@ -157,9 +162,9 @@ def perm_count_checks(
     special: dict[Cell, int] = {}
     descent: dict[Cell, int] = {}
     for word in permutations(range(1, n)):
-        descents = sum(map(gt, word, word[1:]))
+        descents = _descents(word)
         last = word[-1]
-        cell = (descents + (word[0] == 1) + 1, last)
+        cell = (_special_descents(word, descents) + 1, last)
         special[cell] = special.get(cell, 0) + 1
         dcell = (descents + 1, last)
         descent[dcell] = descent.get(dcell, 0) + 1
@@ -167,7 +172,7 @@ def perm_count_checks(
         image = tuple(map(relabeled, word))
         if tuple(map(relabeled, image)) != word:
             bad.append(f"relabeling is not an involution at {word}")
-        got = (sum(map(gt, image, image[1:])) + (image[0] == 1) + 1, image[-1])
+        got = (_special_descents(image, _descents(image)) + 1, image[-1])
         if got != _involution_image(n, cell):
             bad.append(
                 f"relabeling sends {cell} to {got}, "
@@ -177,7 +182,7 @@ def perm_count_checks(
     start_two: dict[Cell, int] = {}
     for rest in permutations((1, *range(3, n + 1))):
         # (2, *rest) descends after its 2 exactly when rest starts with 1
-        cell = (sum(map(gt, rest, rest[1:])) + (rest[0] == 1) + 1, rest[-1])
+        cell = (_special_descents(rest, _descents(rest)) + 1, rest[-1])
         start_two[cell] = start_two.get(cell, 0) + 1
 
     for leaves in range(1, n + 1):
@@ -202,8 +207,7 @@ def roundtrip_check(n: int) -> bool:
         word = _reading(parents)
         if _parents_of(word) != parents:
             return False
-        st = _perm_stats(word)
         leaves, path_end, _ = _tree_stats(parents)
-        if st.special_descents != leaves - 1 or st.last != path_end:
+        if _special_descents(word, _descents(word)) != leaves - 1 or word[-1] != path_end:
             return False
     return True

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import partial
 from math import factorial, gcd
 from pathlib import Path
+from typing import NamedTuple, NoReturn
 
 from .errors import BudgetExceededError, DomainError, TheoremViolationError
 from . import reachability
@@ -490,7 +491,8 @@ def _forked(calls: list[Callable[[], object]], what: str) -> list:
     """Each call's result, in order: the caller runs the first, a forked worker each other one.
 
     A worker pipes back its result, or the exception that stopped it,
-    which the caller raises when it reaches that worker.  Every worker is
+    which the caller raises when it reaches that worker, with the
+    worker's traceback as its cause.  Every worker is
     joined before this returns, on error too, and stopped first if the
     caller fails.  Fork, not spawn: a worker starts at once with the
     caller's module state and imports nothing; the package starts no
@@ -521,8 +523,8 @@ def _forked(calls: list[Callable[[], object]], what: str) -> list:
             except EOFError:  # it died before sending, e.g. killed
                 worker.join()
                 raise RuntimeError(f"a {what} worker exited with code {worker.exitcode}") from None
-            if isinstance(got, BaseException):
-                raise got
+            if isinstance(got, _Raised):
+                _reraise(got)
             out.append(got)
         return out
     except BaseException:
@@ -540,9 +542,34 @@ def _worker(send, call: Callable[[], object]) -> None:
     try:
         got = call()
     except Exception as e:
-        got = e
+        got = _caught(e)
     send.send(got)
     send.close()
+
+
+class _Raised(NamedTuple):
+    """An error that stopped a call, with its traceback as text, which pickling keeps."""
+
+    error: Exception
+    trace: str
+
+
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an error raised in a forked worker."""
+
+
+def _caught(e: Exception) -> _Raised:
+    """``e`` with the traceback it was raised with."""
+    import traceback
+
+    return _Raised(e, "".join(traceback.format_exception(type(e), e, e.__traceback__)))
+
+
+def _reraise(raised: _Raised) -> NoReturn:
+    """Raise the error; if it came through a pipe, its cause shows where the worker raised it."""
+    if raised.error.__traceback__ is None:
+        raise raised.error from _WorkerTraceback(raised.trace)
+    raise raised.error
 
 
 # ---------------------------------------------------------------------------

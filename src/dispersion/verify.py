@@ -26,6 +26,9 @@ from .probability import (
     ScaledRow,
     _forked,
     _jobs,
+    _Raised,
+    _caught,
+    _reraise,
     final_distribution,
     lx_to_sumtroid,
     row_from_json,
@@ -833,7 +836,8 @@ SUITES: dict[str, Callable[[RunContext], VerifyReport]] = {
 # trees share the brute-force tables; bridge, probability and window share
 # the rows.  Heaviest first; default-run seconds in one process on a 2-CPU
 # box: 0.53, 0.19, 0.15 (locked-in), 0.09 (states), 0.03 (finals) and
-# 0.01 (suites-bijection).
+# 0.01 (suites-bijection).  The first unit alone takes about half of the
+# run, so a second worker could not end it sooner.
 UNITS = (
     ("perms", "trees"),
     ("bridge", "probability", "window"),
@@ -849,13 +853,13 @@ def run_suites(
 ) -> tuple[VerifyReport, ...]:
     """Run the named suites (default: all) once each; reports come in name order.
 
-    With p the smaller of ``jobs`` (default: the CPUs this process may
-    use) and the number of units of ``UNITS`` holding a selected suite,
-    the first p-1 of those units run in a forked worker each and the
-    caller runs every other selected suite.  Each process runs its suites
-    in name order on a fresh ``RunContext(max_n)``, so the reports do not
-    depend on ``jobs``.  When suites raise, every worker is joined and the
-    error of the first in name order is raised, as one serial run would.
+    When ``jobs`` (default: the CPUs this process may use) is at least 2
+    and the selected suites span more than one unit of ``UNITS``, the
+    first of those units runs in a forked worker and the caller runs
+    every other selected suite.  Each process runs its suites in name
+    order on a fresh ``RunContext(max_n)``, so the reports do not depend
+    on ``jobs``.  When suites raise, the worker is joined and the error
+    of the first in name order is raised, as one serial run would.
     """
     selected = set(SUITES if names is None else names)
     unknown = sorted(selected - SUITES.keys())
@@ -863,26 +867,26 @@ def run_suites(
         raise ValueError(f"unknown suites: {unknown}")
     units = [[name for name in unit if name in selected] for unit in UNITS]
     units = [unit for unit in units if unit]
-    forked = units[: min(_jobs(jobs), len(units)) - 1]
+    forked = units[:1] if _jobs(jobs) > 1 and len(units) > 1 else []
     groups = [[name for unit in units[len(forked):] for name in unit], *forked]
     calls = [partial(_run_in_order, RunContext(max_n), group) for group in groups]
     outcomes = sorted((o for part in _forked(calls, "verify") for o in part), key=itemgetter(0))
     for _, got in outcomes:
-        if isinstance(got, Exception):
-            raise got
+        if isinstance(got, _Raised):
+            _reraise(got)
     return tuple(got for _, got in outcomes)
 
 
 def _run_in_order(
     ctx: RunContext, names: list[str]
-) -> list[tuple[str, VerifyReport | Exception]]:
+) -> list[tuple[str, VerifyReport | _Raised]]:
     """Each suite's report in name order, up to the first suite that raises, then its error."""
-    out: list[tuple[str, VerifyReport | Exception]] = []
+    out: list[tuple[str, VerifyReport | _Raised]] = []
     for name in sorted(names):
         try:
             out.append((name, SUITES[name](ctx)))
         except Exception as e:
-            out.append((name, e))
+            out.append((name, _caught(e)))
             break
     return out
 

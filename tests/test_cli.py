@@ -268,7 +268,7 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
         suite="states",
         checks=(CheckResult("states.fake", "fail", "boom", "claim"),),
     )
-    monkeypatch.setattr(cli, "run_suites", lambda max_n, names, jobs: [fake])
+    monkeypatch.setattr(cli, "run_suites", lambda max_n, names: [fake])
     code, out = run_cli(capsys, "verify", "--suite", "states")
     assert code == 1
     assert "FAIL" in out
@@ -301,8 +301,6 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["prob", "--n", "4", "--cache-dir", "/nonexistent"],
         ["prob", "--n", "4", "--scaled", "--cache-dir", "/nonexistent"],
         ["verify", "--max-n", "0"],
-        ["verify", "--jobs", "0"],
-        ["verify", "--jobs", "-1"],
         ["verify", "--node-budget", "5"],
         ["graph", "--state", "11", "--node-budget", "3"],
         ["finals", "--state", "11", "--node-budget", "3"],

@@ -470,6 +470,7 @@ def test_a_worker_error_reaches_the_caller_whole(monkeypatch):
     with pytest.raises(BudgetExceededError, match=r"^node budget of 4 exceeded$") as e:
         monte_carlo_counts(5, 12, seed=2, jobs=3)
     assert e.value.budget == 4
+    assert "in fail" in str(e.value.__cause__)
     assert multiprocessing.active_children() == []
 
 

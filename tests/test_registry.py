@@ -122,20 +122,21 @@ def _record_groups(monkeypatch):
     return groups
 
 
-def test_memo_sharing_units_run_in_workers_from_the_heaviest(monkeypatch):
+def test_the_heaviest_selected_unit_runs_in_the_one_worker(monkeypatch):
     groups = _record_groups(monkeypatch)
     monkeypatch.setattr(probability, "_usable_cpus", lambda: 3)
     run_suites(max_n=3)
     run_suites(max_n=3, jobs=1)
     run_suites(max_n=3, names=["window", "states", "trees"], jobs=9)
+    run_suites(max_n=3, names=["probability", "window"], jobs=9)
     assert groups == [
         [
-            ["locked-in", "states", "finals", "suites-bijection"],
+            ["bridge", "probability", "window", "locked-in", "states", "finals", "suites-bijection"],
             ["perms", "trees"],
-            ["bridge", "probability", "window"],
         ],
         [[name for unit in UNITS for name in unit]],
-        [["states"], ["trees"], ["window"]],
+        [["window", "states"], ["trees"]],
+        [["probability", "window"]],
     ]
     with pytest.raises(DomainError, match="jobs must be >= 1, got 0"):
         run_suites(max_n=3, jobs=0)
@@ -166,7 +167,7 @@ def _budget(budget):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 9])
 def test_the_first_suite_in_name_order_raises(monkeypatch, jobs):
-    # perms runs in a worker when jobs > 1, bridge in the caller when jobs = 2
+    # perms runs in the worker when jobs > 1, bridge always in the caller
     _patch_checks(monkeypatch, {"perms.stat-examples": _budget(2)})
     with pytest.raises(BudgetExceededError) as e:
         run_suites(max_n=4, jobs=jobs)
@@ -180,6 +181,18 @@ def test_the_first_suite_in_name_order_raises(monkeypatch, jobs):
     assert multiprocessing.active_children() == []
 
 
+def test_a_worker_error_keeps_its_traceback(monkeypatch):
+    def broken_check(ctx, top):
+        return {}["missing"]
+
+    _patch_checks(monkeypatch, {"perms.stat-examples": broken_check})
+    with pytest.raises(KeyError) as e:
+        run_suites(max_n=4, jobs=2)
+    assert isinstance(e.value.__cause__, probability._WorkerTraceback)
+    assert "in broken_check" in str(e.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
 def test_without_fork_the_caller_runs_every_suite(monkeypatch):
     def no_fork(method=None):
         raise ValueError(f"cannot find context for {method!r}")
@@ -187,7 +200,7 @@ def test_without_fork_the_caller_runs_every_suite(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     groups = _record_groups(monkeypatch)
     assert run_suites(max_n=4, jobs=3) == run_suites(max_n=4, jobs=1)
-    assert len(groups[0]) == 3
+    assert len(groups[0]) == 2
 
 
 def test_a_verify_worker_that_dies_is_reported_and_joined(monkeypatch):
