@@ -130,7 +130,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    counts = monte_carlo_counts(args.n, args.samples, args.seed, jobs=args.jobs)
+    counts = monte_carlo_counts(args.n, args.samples, args.seed)
     shadows: Counter[int] = Counter()
     for k, c in counts.items():
         shadows[shadow_of_sumtroid(args.n, k)] += c
@@ -251,12 +251,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="processes that share the samples (default: the CPUs this process may use)",
-    )
     add_format(p, ("json", "csv"))
     p.set_defaults(func=cmd_mc)
 

@@ -353,7 +353,7 @@ def window_recurrence_step(prev: ScaledRow) -> ScaledRow:
 # Monte Carlo
 
 
-def monte_carlo_counts(n: int, samples: int, seed: int, jobs: int | None = None) -> dict[int, int]:
+def monte_carlo_counts(n: int, samples: int, seed: int) -> dict[int, int]:
     """Sampled final sumtroid changes of the flat clusteron of size n.
 
     Sample i plays the DP's packed move on the DP's window.  Its bits are
@@ -369,10 +369,12 @@ def monte_carlo_counts(n: int, samples: int, seed: int, jobs: int | None = None)
     mask with :func:`_packed_move`.  Seeds must be >= 0, the rule of
     ``run --seed`` too.
 
-    Sample i depends only on (seed, i), so the counts do not depend on
-    ``jobs``.  The indices split into at most ``jobs`` contiguous ranges
-    (default: the CPUs this process may use) of at least ``_MC_MIN_RANGE``
-    samples each; see :func:`_mc_sharded`.
+    Sample i depends only on (seed, i), so the counts do not depend on the
+    CPU count.  The indices split into at most one contiguous range per CPU
+    this process may use, of at least ``_MC_MIN_RANGE`` samples each, which
+    run under :func:`_forked`.  The caller checks and counts each range's
+    finals in range order, so the first key out of the window is the one
+    a single range would meet first.
     """
     if n < 2:
         raise DomainError(f"sampling needs n >= 2, got {n}")
@@ -380,24 +382,21 @@ def monte_carlo_counts(n: int, samples: int, seed: int, jobs: int | None = None)
         raise DomainError(f"sample count must be >= 0, got {samples}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    jobs = _jobs(jobs)
     initial = flat_clusteron(n)
     _, floor, width, start, digits, ends = _window(initial)
     if start & ends:
         raise _window_error(start, 1, floor, width)
-    ranges = min(jobs, samples // _MC_MIN_RANGE)
-    if ranges > 1:
-        bounds = [samples * j // ranges for j in range(ranges + 1)]
-        finals = _mc_sharded(start, digits, seed, bounds)
-    else:
-        finals = _mc_finals(start, digits, seed, 0, samples)
+    ranges = max(1, min(_usable_cpus(), samples // _MC_MIN_RANGE))
+    bounds = [samples * j // ranges for j in range(ranges + 1)]
+    calls = [partial(_mc_finals, start, digits, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     counts: dict[int, int] = {}
-    for key, c in finals.items():
-        # An occupant reaching an end stays there until dropped past it.
-        if key & ends or key.bit_count() != n:
-            raise _window_error(key, 1, floor, width)
-        k = sumtroid(_unpack(key, 1, floor)) - sumtroid(initial)
-        counts[k] = counts.get(k, 0) + c
+    for finals in _forked(calls, "sampler"):
+        for key, c in finals.items():
+            # An occupant reaching an end stays there until dropped past it.
+            if key & ends or key.bit_count() != n:
+                raise _window_error(key, 1, floor, width)
+            k = sumtroid(_unpack(key, 1, floor)) - sumtroid(initial)
+            counts[k] = counts.get(k, 0) + c
     return dict(sorted(counts.items()))
 
 
@@ -445,20 +444,6 @@ def _mc_finals(start: int, digits: int, seed: int, lo: int, hi: int) -> dict[int
     return finals
 
 
-def _mc_sharded(start: int, digits: int, seed: int, bounds: list[int]) -> dict[int, int]:
-    """:func:`_mc_finals` of bounds[0]..bounds[-1], one range per process.
-
-    The ranges run under :func:`_forked` and merge in range order, so
-    first arrivals keep the order of one serial run.
-    """
-    calls = [partial(_mc_finals, start, digits, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    finals: dict[int, int] = {}
-    for got in _forked(calls, "sampler"):
-        for key, c in got.items():
-            finals[key] = finals.get(key, 0) + c
-    return finals
-
-
 def monte_carlo(n: int, samples: int, seed: int) -> dict[int, Fraction]:
     """Empirical distribution of final sumtroids, exact fractions."""
     return {
@@ -468,15 +453,6 @@ def monte_carlo(n: int, samples: int, seed: int) -> dict[int, Fraction]:
 
 # ---------------------------------------------------------------------------
 # forked workers, shared with verify
-
-
-def _jobs(jobs: int | None) -> int:
-    """The process count ``jobs`` asks for: the usable CPUs when None, else at least 1."""
-    if jobs is None:
-        return _usable_cpus()
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 def _usable_cpus() -> int:

@@ -20,12 +20,12 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
+from . import probability
 from .errors import BudgetExceededError, DispersionError
 from .perms import perm_count_checks, perm_stats, roundtrip_check
 from .probability import (
     ScaledRow,
     _forked,
-    _jobs,
     _Raised,
     _caught,
     _reraise,
@@ -294,7 +294,9 @@ def labeled_pushing(ctx: RunContext, top: int) -> str:
         g = explore(flat_clusteron(n))
         for s in g.nodes:
             ls = LabeledState.from_state(s)
-            for m, t in zip(available_moves(s), g.edges[s]):
+            ms = available_moves(s)
+            assert len(ms) == len(g.edges[s]), s.text()
+            for m, t in zip(ms, g.edges[s]):
                 pushed = apply_move_labeled(ls, m)
                 assert pushed.to_state() == t, (s.text(), m)
                 assert pushed.positions == tuple(sorted(pushed.positions))
@@ -483,8 +485,8 @@ def gap_decrease_bound(ctx: RunContext, top: int) -> str:
             e = earliest_gap_decrease(clusteron(parts))
             if e is not None:
                 earliest[parts] = e
-    assert min(earliest.values()) == 3, min(earliest.values())
-    assert earliest[(2, 1, 1)] == 3
+    assert min(earliest.values(), default=0) == 3, min(earliest.values(), default=0)
+    assert earliest.get((2, 1, 1)) == 3
     path = [parse_state("1001111")]
     for pattern in ("10110011", "101101001", "110011001"):
         successors = (apply_move(path[-1], m) for m in available_moves(path[-1]))
@@ -508,6 +510,7 @@ def no_crowded_isolated_room(ctx: RunContext, top: int) -> str:
                 if s != s0:
                     assert not has_crowded_isolated_room(s), (parts, s.text())
                     states += 1
+    assert states or top < 4, top  # the sweep reaches 4 states at 4
     return f"{states} reached crowded states, clusterons up to size {top}"
 
 
@@ -849,17 +852,17 @@ UNITS = (
 
 
 def run_suites(
-    max_n: int | None = None, names: list[str] | None = None, jobs: int | None = None
+    max_n: int | None = None, names: list[str] | None = None
 ) -> tuple[VerifyReport, ...]:
     """Run the named suites (default: all) once each; reports come in name order.
 
-    When ``jobs`` (default: the CPUs this process may use) is at least 2
-    and the selected suites span more than one unit of ``UNITS``, the
-    first of those units runs in a forked worker and the caller runs
-    every other selected suite.  Each process runs its suites in name
-    order on a fresh ``RunContext(max_n)``, so the reports do not depend
-    on ``jobs``.  When suites raise, the worker is joined and the error
-    of the first in name order is raised, as one serial run would.
+    When this process may use at least 2 CPUs and the selected suites
+    span more than one unit of ``UNITS``, the first of those units runs
+    in a forked worker and the caller runs every other selected suite.
+    Each process runs its suites in name order on a fresh
+    ``RunContext(max_n)``, so the reports do not depend on the CPU count.
+    When suites raise, the worker is joined and the error of the first in
+    name order is raised, as one process would.
     """
     selected = set(SUITES if names is None else names)
     unknown = sorted(selected - SUITES.keys())
@@ -867,7 +870,7 @@ def run_suites(
         raise ValueError(f"unknown suites: {unknown}")
     units = [[name for name in unit if name in selected] for unit in UNITS]
     units = [unit for unit in units if unit]
-    forked = units[:1] if _jobs(jobs) > 1 and len(units) > 1 else []
+    forked = units[:1] if probability._usable_cpus() > 1 and len(units) > 1 else []
     groups = [[name for unit in units[len(forked):] for name in unit], *forked]
     calls = [partial(_run_in_order, RunContext(max_n), group) for group in groups]
     outcomes = sorted((o for part in _forked(calls, "verify") for o in part), key=itemgetter(0))

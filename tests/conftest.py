@@ -11,6 +11,7 @@ from dispersion import (
     available_moves,
     explore,
     flat_clusteron,
+    probability,
     to_suites,
 )
 from dispersion.reachability import DEFAULT_NODE_BUDGET
@@ -68,6 +69,16 @@ def run_scan_suite_move_for(s, m):
             break
     positive = [j for j, v in enumerate(ss.occupancy) if v > 0]
     return SuiteMove(ss.offset + positive[run_index], m.left_room - run_start + 1)
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """``use_cpus(k)`` makes the sampler and verify fork as if k CPUs were usable."""
+
+    def use(cpus):
+        monkeypatch.setattr(probability, "_usable_cpus", lambda: cpus)
+
+    return use
 
 
 @pytest.fixture(scope="session")

@@ -144,13 +144,16 @@ def test_mc_counts_are_deterministic(capsys):
     assert {c["shadow_k"] for c in payload["shadow_counts"]} <= {1, 2, 3, 4}
 
 
-def test_mc_output_does_not_depend_on_jobs(capsys, monkeypatch):
+def test_mc_output_does_not_depend_on_jobs(capsys, monkeypatch, use_cpus):
+    # one job, that is one sampler range, per usable CPU
     monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
     argv = ["mc", "--n", "6", "--samples", "50", "--seed", "4"]
-    code, serial = run_cli(capsys, *argv, "--jobs", "1")
+    use_cpus(1)
+    code, serial = run_cli(capsys, *argv)
     assert code == 0
-    for jobs in ([], ["--jobs", "2"], ["--jobs", "3"], ["--jobs", "7"]):
-        assert run_cli(capsys, *argv, *jobs) == (0, serial), jobs
+    for cpus in (2, 3, 7):
+        use_cpus(cpus)
+        assert run_cli(capsys, *argv) == (0, serial), cpus
 
 
 def test_importing_the_package_loads_no_process_pools():
@@ -291,8 +294,7 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["mc", "--n", "-3"],
         ["mc", "--n", "2", "--samples", "-5"],
         ["mc", "--n", "4", "--seed", "-1"],
-        ["mc", "--n", "4", "--jobs", "0"],
-        ["mc", "--n", "4", "--jobs", "-1"],
+        ["mc", "--n", "4", "--jobs", "2"],
         ["perms", "--n", "0"],
         ["perms", "--n", "-1"],
         ["mc", "--n", "1"],

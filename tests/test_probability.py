@@ -232,7 +232,7 @@ def test_masses_that_miss_the_denominator_raise(monkeypatch):
         final_distribution(flat_clusteron(3))
 
 
-def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
+def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch, use_cpus):
     monkeypatch.setattr(reachability, "_spare_rooms", lambda s: 0)
     with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room window"):
         final_distribution(flat_clusteron(3))
@@ -256,14 +256,16 @@ def test_leaving_the_window_raises_instead_of_wrapping(monkeypatch):
     # finals in first-arrival order, so each split raises the serial message
     monkeypatch.setattr(reachability, "_spare_rooms", lambda s: 0)
     monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
-    for jobs in (1, 2, 3, 5):
+    for cpus in (1, 2, 3, 5):
+        use_cpus(cpus)
         with pytest.raises(InvariantViolationError, match="111 reaches an end of the 3-room"):
-            monte_carlo_counts(3, 10, seed=0, jobs=jobs)
+            monte_carlo_counts(3, 10, seed=0)
     monkeypatch.setattr(reachability, "_spare_rooms", lambda s: s.total // 2)
     messages = set()
-    for jobs in (1, 2, 3, 5):
+    for cpus in (1, 2, 3, 5):
+        use_cpus(cpus)
         with pytest.raises(InvariantViolationError, match="end of the 12-room window") as e:
-            monte_carlo_counts(6, 40, seed=0, jobs=jobs)
+            monte_carlo_counts(6, 40, seed=0)
         messages.add(str(e.value))
     assert len(messages) == 1
     assert multiprocessing.active_children() == []
@@ -378,25 +380,28 @@ def test_monte_carlo_is_seed_and_shard_deterministic():
 
 
 def _record_ranges(monkeypatch):
-    """Make ``_mc_sharded`` record the range bounds of each sharded call."""
-    calls = []
-    sharded = probability._mc_sharded
+    """Make ``_forked`` record the range bounds of each sampler call."""
+    recorded = []
+    forked = probability._forked
 
-    def recording(start, digits, seed, bounds):
-        calls.append(list(bounds))
-        return sharded(start, digits, seed, bounds)
+    def recording(calls, what):
+        recorded.append([call.args[3] for call in calls] + [calls[-1].args[4]])
+        return forked(calls, what)
 
-    monkeypatch.setattr(probability, "_mc_sharded", recording)
-    return calls
+    monkeypatch.setattr(probability, "_forked", recording)
+    return recorded
 
 
 @pytest.mark.parametrize("n, samples", [(6, 20_000), (10, 5_000)])
-def test_monte_carlo_counts_do_not_depend_on_jobs(monkeypatch, n, samples):
-    serial = monte_carlo_counts(n, samples, seed=1, jobs=1)
+def test_monte_carlo_counts_do_not_depend_on_jobs(monkeypatch, use_cpus, n, samples):
+    # one job, that is one sampler range, per usable CPU
+    use_cpus(1)
+    serial = monte_carlo_counts(n, samples, seed=1)
     assert sum(serial.values()) == samples
     calls = _record_ranges(monkeypatch)
-    for jobs in (2, 3, 5):
-        assert monte_carlo_counts(n, samples, seed=1, jobs=jobs) == serial, jobs
+    for cpus in (2, 3, 5):
+        use_cpus(cpus)
+        assert monte_carlo_counts(n, samples, seed=1) == serial, cpus
     # no range holds fewer than _MC_MIN_RANGE samples
     ranges = min(5, samples // probability._MC_MIN_RANGE)
     assert [len(b) - 1 for b in calls] == [min(2, ranges), min(3, ranges), ranges]
@@ -404,49 +409,53 @@ def test_monte_carlo_counts_do_not_depend_on_jobs(monkeypatch, n, samples):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("samples, jobs", [(7, 2), (10, 3), (11, 5), (3, 5), (1, 5), (0, 5)])
-def test_uneven_and_tiny_splits_give_the_serial_counts(monkeypatch, samples, jobs):
+@pytest.mark.parametrize("samples, cpus", [(7, 2), (10, 3), (11, 5), (3, 5), (1, 5), (0, 5)])
+def test_uneven_and_tiny_splits_give_the_serial_counts(monkeypatch, use_cpus, samples, cpus):
     monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
-    serial = monte_carlo_counts(7, samples, seed=11, jobs=1)
+    use_cpus(1)
+    serial = monte_carlo_counts(7, samples, seed=11)
     calls = _record_ranges(monkeypatch)
-    assert monte_carlo_counts(7, samples, seed=11, jobs=jobs) == serial
-    ranges = min(samples, jobs)
-    if ranges > 1:  # contiguous ranges whose sizes differ by at most one
-        (bounds,) = calls
-        assert bounds[0] == 0 and bounds[-1] == samples and len(bounds) == ranges + 1
-        sizes = {hi - lo for lo, hi in zip(bounds, bounds[1:])}
-        assert sizes <= {samples // ranges, -(-samples // ranges)}
-    else:
-        assert calls == []
+    use_cpus(cpus)
+    assert monte_carlo_counts(7, samples, seed=11) == serial
+    # contiguous ranges whose sizes differ by at most one
+    ranges = max(1, min(samples, cpus))
+    (bounds,) = calls
+    assert bounds[0] == 0 and bounds[-1] == samples and len(bounds) == ranges + 1
+    sizes = {hi - lo for lo, hi in zip(bounds, bounds[1:])}
+    assert sizes <= {samples // ranges, -(-samples // ranges)}
     assert multiprocessing.active_children() == []
 
 
-def test_small_calls_stay_in_the_caller(monkeypatch):
+def test_small_calls_stay_in_the_caller(monkeypatch, use_cpus):
+    use_cpus(5)
     calls = _record_ranges(monkeypatch)
-    monte_carlo_counts(20, 20, seed=1, jobs=5)  # the CLI golden's call
-    monte_carlo_counts(6, 2 * probability._MC_MIN_RANGE - 1, seed=1, jobs=5)
-    assert calls == []
+    monte_carlo_counts(20, 20, seed=1)  # the CLI golden's call
+    monte_carlo_counts(6, 2 * probability._MC_MIN_RANGE - 1, seed=1)
+    assert calls == [[0, 20], [0, 2 * probability._MC_MIN_RANGE - 1]]
 
 
-def test_jobs_default_to_the_usable_cpus(monkeypatch):
+def test_jobs_default_to_the_usable_cpus(monkeypatch, use_cpus):
     if hasattr(os, "sched_getaffinity"):
         assert probability._usable_cpus() == len(os.sched_getaffinity(0))
     monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
-    monkeypatch.setattr(probability, "_usable_cpus", lambda: 3)
+    use_cpus(1)
+    serial = monte_carlo_counts(5, 12, seed=2)
+    use_cpus(3)
     calls = _record_ranges(monkeypatch)
-    assert monte_carlo_counts(5, 12, seed=2) == monte_carlo_counts(5, 12, seed=2, jobs=1)
+    assert monte_carlo_counts(5, 12, seed=2) == serial
     assert calls == [[0, 4, 8, 12]]
-    with pytest.raises(DomainError, match="jobs must be >= 1, got 0"):
-        monte_carlo_counts(5, 12, seed=2, jobs=0)
 
 
-def test_without_fork_every_range_runs_in_the_caller(monkeypatch):
+def test_without_fork_every_range_runs_in_the_caller(monkeypatch, use_cpus):
     def no_fork(method=None):
         raise ValueError(f"cannot find context for {method!r}")
 
     monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
+    use_cpus(1)
+    serial = monte_carlo_counts(7, 50, seed=3)
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    assert monte_carlo_counts(7, 50, seed=3, jobs=3) == monte_carlo_counts(7, 50, seed=3, jobs=1)
+    use_cpus(3)
+    assert monte_carlo_counts(7, 50, seed=3) == serial
 
 
 def _failing_workers(monkeypatch, fail):
@@ -462,26 +471,28 @@ def _failing_workers(monkeypatch, fail):
     monkeypatch.setattr(probability, "_mc_finals", patched)
 
 
-def test_a_worker_error_reaches_the_caller_whole(monkeypatch):
+def test_a_worker_error_reaches_the_caller_whole(monkeypatch, use_cpus):
     def fail(lo):
         raise BudgetExceededError(lo)
 
+    use_cpus(3)
     _failing_workers(monkeypatch, fail)
     with pytest.raises(BudgetExceededError, match=r"^node budget of 4 exceeded$") as e:
-        monte_carlo_counts(5, 12, seed=2, jobs=3)
+        monte_carlo_counts(5, 12, seed=2)
     assert e.value.budget == 4
     assert "in fail" in str(e.value.__cause__)
     assert multiprocessing.active_children() == []
 
 
-def test_a_worker_that_dies_is_reported_and_joined(monkeypatch):
+def test_a_worker_that_dies_is_reported_and_joined(monkeypatch, use_cpus):
+    use_cpus(3)
     _failing_workers(monkeypatch, lambda lo: os._exit(3))
     with pytest.raises(RuntimeError, match="a sampler worker exited with code 3"):
-        monte_carlo_counts(5, 12, seed=2, jobs=3)
+        monte_carlo_counts(5, 12, seed=2)
     assert multiprocessing.active_children() == []
 
 
-def test_workers_are_stopped_when_the_caller_fails(monkeypatch):
+def test_workers_are_stopped_when_the_caller_fails(monkeypatch, use_cpus):
     finals = probability._mc_finals
 
     def patched(start, digits, seed, lo, hi):
@@ -492,9 +503,10 @@ def test_workers_are_stopped_when_the_caller_fails(monkeypatch):
 
     monkeypatch.setattr(probability, "_MC_MIN_RANGE", 1)
     monkeypatch.setattr(probability, "_mc_finals", patched)
+    use_cpus(3)
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        monte_carlo_counts(5, 12, seed=2, jobs=3)
+        monte_carlo_counts(5, 12, seed=2)
     assert time.perf_counter() - t0 < 30
     assert multiprocessing.active_children() == []
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from dispersion import BudgetExceededError, DomainError, probability, verify
+from dispersion import BudgetExceededError, probability, reachability, verify
 from dispersion.verify import (
     CHECKS,
     DEFAULT_MAX_N,
@@ -122,13 +122,15 @@ def _record_groups(monkeypatch):
     return groups
 
 
-def test_the_heaviest_selected_unit_runs_in_the_one_worker(monkeypatch):
+def test_the_heaviest_selected_unit_runs_in_the_one_worker(monkeypatch, use_cpus):
     groups = _record_groups(monkeypatch)
-    monkeypatch.setattr(probability, "_usable_cpus", lambda: 3)
+    use_cpus(3)
     run_suites(max_n=3)
-    run_suites(max_n=3, jobs=1)
-    run_suites(max_n=3, names=["window", "states", "trees"], jobs=9)
-    run_suites(max_n=3, names=["probability", "window"], jobs=9)
+    use_cpus(1)
+    run_suites(max_n=3)
+    use_cpus(9)
+    run_suites(max_n=3, names=["window", "states", "trees"])
+    run_suites(max_n=3, names=["probability", "window"])
     assert groups == [
         [
             ["bridge", "probability", "window", "locked-in", "states", "finals", "suites-bijection"],
@@ -138,15 +140,16 @@ def test_the_heaviest_selected_unit_runs_in_the_one_worker(monkeypatch):
         [["window", "states"], ["trees"]],
         [["probability", "window"]],
     ]
-    with pytest.raises(DomainError, match="jobs must be >= 1, got 0"):
-        run_suites(max_n=3, jobs=0)
 
 
-def test_reports_do_not_depend_on_jobs():
-    serial = run_suites(max_n=5, jobs=1)
-    for jobs in (2, 3, 9):
-        assert run_suites(max_n=5, jobs=jobs) == serial, jobs
-    assert run_suites(jobs=9) == run_suites(jobs=1)
+def test_reports_do_not_depend_on_jobs(use_cpus):
+    # one job, that is one process, per usable CPU, with at most one worker
+    use_cpus(1)
+    serial, default = run_suites(max_n=5), run_suites()
+    for cpus in (2, 3, 9):
+        use_cpus(cpus)
+        assert run_suites(max_n=5) == serial, cpus
+    assert run_suites() == default
     assert multiprocessing.active_children() == []
 
 
@@ -165,55 +168,62 @@ def _budget(budget):
     return fn
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3, 9])
-def test_the_first_suite_in_name_order_raises(monkeypatch, jobs):
-    # perms runs in the worker when jobs > 1, bridge always in the caller
+@pytest.mark.parametrize("cpus", [1, 2, 3, 9])
+def test_the_first_suite_in_name_order_raises(monkeypatch, use_cpus, cpus):
+    # perms runs in the worker when cpus > 1, bridge always in the caller
+    use_cpus(cpus)
     _patch_checks(monkeypatch, {"perms.stat-examples": _budget(2)})
     with pytest.raises(BudgetExceededError) as e:
-        run_suites(max_n=4, jobs=jobs)
+        run_suites(max_n=4)
     assert e.value.budget == 2
     _patch_checks(
         monkeypatch, {"bridge.coordinates-roundtrip": _budget(1), "perms.stat-examples": _budget(2)}
     )
     with pytest.raises(BudgetExceededError) as e:
-        run_suites(max_n=4, jobs=jobs)
+        run_suites(max_n=4)
     assert e.value.budget == 1
     assert multiprocessing.active_children() == []
 
 
-def test_a_worker_error_keeps_its_traceback(monkeypatch):
+def test_a_worker_error_keeps_its_traceback(monkeypatch, use_cpus):
     def broken_check(ctx, top):
         return {}["missing"]
 
+    use_cpus(2)
     _patch_checks(monkeypatch, {"perms.stat-examples": broken_check})
     with pytest.raises(KeyError) as e:
-        run_suites(max_n=4, jobs=2)
+        run_suites(max_n=4)
     assert isinstance(e.value.__cause__, probability._WorkerTraceback)
     assert "in broken_check" in str(e.value.__cause__)
     assert multiprocessing.active_children() == []
 
 
-def test_without_fork_the_caller_runs_every_suite(monkeypatch):
+def test_without_fork_the_caller_runs_every_suite(monkeypatch, use_cpus):
     def no_fork(method=None):
         raise ValueError(f"cannot find context for {method!r}")
 
+    use_cpus(1)
+    serial = run_suites(max_n=4)
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     groups = _record_groups(monkeypatch)
-    assert run_suites(max_n=4, jobs=3) == run_suites(max_n=4, jobs=1)
+    use_cpus(3)
+    assert run_suites(max_n=4) == serial
     assert len(groups[0]) == 2
 
 
-def test_a_verify_worker_that_dies_is_reported_and_joined(monkeypatch):
+def test_a_verify_worker_that_dies_is_reported_and_joined(monkeypatch, use_cpus):
+    use_cpus(2)
     _patch_checks(monkeypatch, {"perms.stat-examples": lambda ctx, top: os._exit(3)})
     with pytest.raises(RuntimeError, match="a verify worker exited with code 3"):
-        run_suites(max_n=4, jobs=2)
+        run_suites(max_n=4)
     assert multiprocessing.active_children() == []
 
 
-def test_verify_workers_are_stopped_when_the_caller_is_interrupted(monkeypatch):
+def test_verify_workers_are_stopped_when_the_caller_is_interrupted(monkeypatch, use_cpus):
     def interrupt(ctx, top):
         raise KeyboardInterrupt
 
+    use_cpus(2)
     _patch_checks(
         monkeypatch,
         {
@@ -223,6 +233,38 @@ def test_verify_workers_are_stopped_when_the_caller_is_interrupted(monkeypatch):
     )
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        run_suites(max_n=4, jobs=2)
+        run_suites(max_n=4)
     assert time.perf_counter() - t0 < 30
     assert multiprocessing.active_children() == []
+
+
+def _failed(reports):
+    return sorted(c.check_id for r in reports for c in r.checks if c.status != "pass")
+
+
+@pytest.mark.parametrize("max_n", [5, 6])
+def test_a_kernel_that_drops_a_move_fails_its_checks(monkeypatch, use_cpus, max_n):
+    # a key with a choice loses its last successor; no check may crash or pass on that
+    kernel = reachability._packed_successors
+
+    def dropped(key, b, digits):
+        succ = kernel(key, b, digits)
+        return succ[:-1] if len(succ) > 1 else succ
+
+    monkeypatch.setattr(reachability, "_packed_successors", dropped)
+    use_cpus(1)
+    reports = run_suites(max_n, ["finals", "locked-in", "states", "suites-bijection"])
+    assert _failed(reports) == [
+        "finals.family-coverage",
+        "finals.flat-placements",
+        "locked.gap-decrease-bound",
+        "states.labeled-pushing",
+        "suites.move-correspondence",
+    ]
+
+
+def test_an_empty_crowded_sweep_fails(monkeypatch, use_cpus):
+    monkeypatch.setattr(verify, "crowded_states", lambda s0: ())
+    use_cpus(1)
+    assert _failed(run_suites(5, ["locked-in"])) == ["locked.no-crowded-isolated-room"]
+    assert _failed(run_suites(3, ["locked-in"])) == []
