@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import partial
 from math import factorial, gcd
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, DomainError, TheoremViolationError
 from . import reachability
@@ -468,13 +468,14 @@ def _forked(calls: list[Callable[[], object]], what: str) -> list:
 
     A worker pipes back its result, or the exception that stopped it,
     which the caller raises when it reaches that worker, with the
-    worker's traceback as its cause.  Every worker is
-    joined before this returns, on error too, and stopped first if the
-    caller fails.  Fork, not spawn: a worker starts at once with the
-    caller's module state and imports nothing; the package starts no
-    threads that a fork could cut off.  A single call, and every call
-    where fork is missing, runs in the caller; ``multiprocessing`` is
-    imported only when there is a worker to start.
+    worker's traceback as its cause.  An error in the caller's own call
+    is raised at once, and every worker is stopped first.  Every worker
+    is joined before this returns, on error too.  Fork, not spawn: a
+    worker starts at once with the caller's module state and imports
+    nothing; the package starts no threads that a fork could cut off.
+    A single call, and every call where fork is missing, runs in the
+    caller; ``multiprocessing`` is imported only when there is a worker
+    to start.
     """
     if len(calls) < 2:
         return [call() for call in calls]
@@ -500,7 +501,7 @@ def _forked(calls: list[Callable[[], object]], what: str) -> list:
                 worker.join()
                 raise RuntimeError(f"a {what} worker exited with code {worker.exitcode}") from None
             if isinstance(got, _Raised):
-                _reraise(got)
+                raise got.error from _WorkerTraceback(got.trace)
             out.append(got)
         return out
     except BaseException:
@@ -518,7 +519,9 @@ def _worker(send, call: Callable[[], object]) -> None:
     try:
         got = call()
     except Exception as e:
-        got = _caught(e)
+        import traceback
+
+        got = _Raised(e, "".join(traceback.format_exception(type(e), e, e.__traceback__)))
     send.send(got)
     send.close()
 
@@ -532,20 +535,6 @@ class _Raised(NamedTuple):
 
 class _WorkerTraceback(Exception):
     """The traceback, as text, of an error raised in a forked worker."""
-
-
-def _caught(e: Exception) -> _Raised:
-    """``e`` with the traceback it was raised with."""
-    import traceback
-
-    return _Raised(e, "".join(traceback.format_exception(type(e), e, e.__traceback__)))
-
-
-def _reraise(raised: _Raised) -> NoReturn:
-    """Raise the error; if it came through a pipe, its cause shows where the worker raised it."""
-    if raised.error.__traceback__ is None:
-        raise raised.error from _WorkerTraceback(raised.trace)
-    raise raised.error
 
 
 # ---------------------------------------------------------------------------

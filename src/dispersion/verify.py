@@ -17,7 +17,6 @@ from functools import partial
 from importlib import resources
 from itertools import product
 from math import factorial
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from . import probability
@@ -26,9 +25,6 @@ from .perms import perm_count_checks, perm_stats, roundtrip_check
 from .probability import (
     ScaledRow,
     _forked,
-    _Raised,
-    _caught,
-    _reraise,
     final_distribution,
     lx_to_sumtroid,
     row_from_json,
@@ -280,6 +276,7 @@ def entropy_increase(ctx: RunContext, top: int) -> str:
             for t in g.edges[s]:
                 assert entropy(t) > entropy(s), (s.text(), t.text())
                 edges += 1
+    assert edges or top < 2, top  # flat 2 has one move
     return f"{edges} edges, flat starts up to {top}"
 
 
@@ -861,8 +858,9 @@ def run_suites(
     in a forked worker and the caller runs every other selected suite.
     Each process runs its suites in name order on a fresh
     ``RunContext(max_n)``, so the reports do not depend on the CPU count.
-    When suites raise, the worker is joined and the error of the first in
-    name order is raised, as one process would.
+    Each process stops at its first suite that raises.  An error in the
+    caller is raised at once and stops the worker; otherwise the
+    worker's error is raised, with the worker's traceback as its cause.
     """
     selected = set(SUITES if names is None else names)
     unknown = sorted(selected - SUITES.keys())
@@ -873,25 +871,13 @@ def run_suites(
     forked = units[:1] if probability._usable_cpus() > 1 and len(units) > 1 else []
     groups = [[name for unit in units[len(forked):] for name in unit], *forked]
     calls = [partial(_run_in_order, RunContext(max_n), group) for group in groups]
-    outcomes = sorted((o for part in _forked(calls, "verify") for o in part), key=itemgetter(0))
-    for _, got in outcomes:
-        if isinstance(got, _Raised):
-            _reraise(got)
-    return tuple(got for _, got in outcomes)
+    reports = (r for part in _forked(calls, "verify") for r in part)
+    return tuple(sorted(reports, key=lambda r: r.suite))
 
 
-def _run_in_order(
-    ctx: RunContext, names: list[str]
-) -> list[tuple[str, VerifyReport | _Raised]]:
-    """Each suite's report in name order, up to the first suite that raises, then its error."""
-    out: list[tuple[str, VerifyReport | _Raised]] = []
-    for name in sorted(names):
-        try:
-            out.append((name, SUITES[name](ctx)))
-        except Exception as e:
-            out.append((name, _caught(e)))
-            break
-    return out
+def _run_in_order(ctx: RunContext, names: list[str]) -> list[VerifyReport]:
+    """Each suite's report, in name order."""
+    return [SUITES[name](ctx) for name in sorted(names)]
 
 
 def reports_to_json(reports: tuple[VerifyReport, ...]) -> str:

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from dispersion import BudgetExceededError, probability, reachability, verify
+from dispersion import BudgetExceededError, perms, probability, reachability, trees, verify
 from dispersion.verify import (
     CHECKS,
     DEFAULT_MAX_N,
@@ -185,6 +185,23 @@ def test_the_first_suite_in_name_order_raises(monkeypatch, use_cpus, cpus):
     assert multiprocessing.active_children() == []
 
 
+def test_a_caller_error_stops_the_worker_at_once(monkeypatch, use_cpus):
+    use_cpus(2)
+    _patch_checks(
+        monkeypatch,
+        {
+            "bridge.coordinates-roundtrip": _budget(1),
+            "perms.stat-examples": lambda ctx, top: time.sleep(60),
+        },
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as e:
+        run_suites(max_n=4)
+    assert time.perf_counter() - t0 < 30
+    assert e.value.budget == 1
+    assert multiprocessing.active_children() == []
+
+
 def test_a_worker_error_keeps_its_traceback(monkeypatch, use_cpus):
     def broken_check(ctx, top):
         return {}["missing"]
@@ -268,3 +285,134 @@ def test_an_empty_crowded_sweep_fails(monkeypatch, use_cpus):
     use_cpus(1)
     assert _failed(run_suites(5, ["locked-in"])) == ["locked.no-crowded-isolated-room"]
     assert _failed(run_suites(3, ["locked-in"])) == []
+
+
+def _swapped_reading(monkeypatch):
+    reading = perms._reading
+
+    def swapped(parents):
+        word = reading(parents)
+        return word[1::-1] + word[2:]
+
+    monkeypatch.setattr(perms, "_reading", swapped)
+
+
+def _path_end_off_by_one_at_7(monkeypatch):
+    stats = trees._tree_stats
+
+    def shifted(parents):
+        got = stats(parents)
+        return got._replace(path_end=got.path_end + 1) if len(parents) == 7 else got
+
+    monkeypatch.setattr(trees, "_tree_stats", shifted)
+    monkeypatch.setattr(perms, "_tree_stats", shifted)
+
+
+def _spacious_wrong_on_one_shape(monkeypatch):
+    # 11001 is reachable from flat 3; an unreachable shape such as 1011 fails nothing
+    spacious = reachability.is_spacious
+    monkeypatch.setattr(
+        reachability, "is_spacious", lambda s: spacious(s) != (s.pattern() == "11001")
+    )
+
+
+def _recursive_cell_off_by_one_at_6(monkeypatch):
+    recursive = verify.r_table_recursive
+
+    def raised(n):
+        table = recursive(n)
+        if n != 6:
+            return table
+        cell = min(table.r)
+        return replace(table, r={**table.r, cell: table.r[cell] + 1})
+
+    monkeypatch.setattr(verify, "r_table_recursive", raised)
+
+
+def _labeled_push_off_by_one_at_6(monkeypatch):
+    labeled = verify.apply_move_labeled
+
+    def pushed(ls, m):
+        got = labeled(ls, m)
+        if len(got.positions) != 6:
+            return got
+        return replace(got, positions=got.positions[:-1] + (got.positions[-1] + 1,))
+
+    monkeypatch.setattr(verify, "apply_move_labeled", pushed)
+
+
+def _gap_decrease_off_by_one(monkeypatch):
+    earliest = verify.earliest_gap_decrease
+
+    def later(s):
+        e = earliest(s)
+        return e if e is None else e + 1
+
+    monkeypatch.setattr(verify, "earliest_gap_decrease", later)
+
+
+def _flat_placement_dropped_at_6(monkeypatch):
+    placements = verify.flat_final_placements
+
+    def dropped(n):
+        got = placements(n)
+        return got - {min(got)} if n == 6 else got
+
+    monkeypatch.setattr(verify, "flat_final_placements", dropped)
+
+
+def _no_shadows_for_111(monkeypatch):
+    shadows = verify.final_shadow_set
+    monkeypatch.setattr(
+        verify,
+        "final_shadow_set",
+        lambda s: frozenset() if s.pattern() == "111" else shadows(s),
+    )
+
+
+PLANTED = {  # each fault, with the checks it must fail at --max-n 7
+    _swapped_reading: ["perms.tree-bijection"],
+    _path_end_off_by_one_at_7: [
+        "perms.count-identities",
+        "perms.tree-bijection",
+        "trees.column-sums",
+        "trees.eulerian-column",
+        "trees.recursion-vs-bruteforce",
+        "trees.root-leaf-split",
+    ],
+    _spacious_wrong_on_one_shape: ["locked.spacious-equivalence"],
+    _recursive_cell_off_by_one_at_6: [
+        "bridge.tree-counts-equal-row",
+        "trees.recursion-vs-bruteforce",
+    ],
+    _labeled_push_off_by_one_at_6: ["states.labeled-pushing"],
+    _gap_decrease_off_by_one: ["locked.gap-decrease-bound"],
+    _flat_placement_dropped_at_6: ["finals.flat-placements"],
+    _no_shadows_for_111: ["finals.family-coverage"],
+}
+
+
+@pytest.mark.parametrize("plant", PLANTED, ids=lambda plant: plant.__name__.strip("_"))
+def test_a_planted_fault_fails_its_checks(monkeypatch, use_cpus, plant):
+    plant(monkeypatch)
+    use_cpus(1)
+    assert _failed(run_suites(7)) == PLANTED[plant]
+
+
+def test_a_kernel_with_no_moves_fails_its_checks(monkeypatch, use_cpus):
+    # no check may pass on an empty sweep where its claim has content
+    monkeypatch.setattr(reachability, "_packed_successors", lambda key, b, digits: [])
+    use_cpus(1)
+    reports = run_suites(6, ["finals", "locked-in", "states", "suites-bijection"])
+    assert _failed(reports) == [
+        "finals.family-coverage",
+        "finals.flat-placements",
+        "finals.merge-shadows",
+        "locked.gap-decrease-bound",
+        "locked.no-crowded-isolated-room",
+        "locked.spacious-equivalence",
+        "states.displacement-bound",
+        "states.entropy-increase",
+        "states.labeled-pushing",
+        "suites.move-correspondence",
+    ]
